@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pdtl"
+	"pdtl/internal/obs"
 )
 
 // tally counts attempted and failed operations. Errors, non-2xx replies
@@ -56,15 +57,22 @@ func (x *exact) check(t *tally, name string, v uint64) {
 
 // bench is one run's measuring state over a set-up env.
 type bench struct {
-	e     *env
-	ref   *reference
-	t     *tally
-	x     *exact
-	trace *tracer
+	e   *env
+	ref *reference
+	t   *tally
+	x   *exact
+	// trace records the benchmark's spans (nil records nothing, which is
+	// how the untraced side of obs.trace_overhead is timed); layer is the
+	// open layer span new spans are recorded under.
+	trace *obs.Trace
+	layer obs.SpanID
 	// passes[i] is how many passes the runner of plan range i makes (set
 	// by the traced run's mgt probe for the scan source probe).
 	passes []int
 }
+
+// begin opens a span named name under the open layer span.
+func (b *bench) begin(name string) obs.SpanID { return b.trace.Begin(name, b.layer) }
 
 // coldOnce is one cold_s sample: a fresh Open of the unoriented store and
 // its first Count (orient + plan + calc).
@@ -97,11 +105,11 @@ func (b *bench) checkCount(what string, res *pdtl.Result) error {
 
 // countOnce is one count_s sample: a warm Count on the main handle.
 func (b *bench) countOnce(ctx context.Context) (time.Duration, error) {
-	sp := b.trace.begin("count")
+	sp := b.begin("count")
 	start := time.Now()
 	res, err := b.e.g.Count(ctx, b.e.opt)
 	d := time.Since(start)
-	b.trace.end(sp)
+	b.trace.End(sp)
 	if err != nil {
 		return 0, err
 	}
@@ -222,11 +230,8 @@ type countReply struct {
 // churn runs the live phase for dur: one client POSTs the cycle's batches
 // in order (closed loop), forcing a compaction after every compactEvery-th
 // batch, while the other GETs /count, which every batch invalidates. Each
-// count is checked against the reference of a generation it can reflect:
-// at least every batch acknowledged before the GET was sent, at most every
-// batch whose POST had started when the reply arrived. (The reply's
-// mut_gen is read after the run finishes, so it can run ahead of the view
-// the run counted.)
+// count is checked against the reference of a generation it can reflect
+// (see checkLive).
 func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, error) {
 	e := b.e
 	var (
@@ -255,11 +260,11 @@ func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, err
 			var reply struct {
 				MutGen uint64 `json:"mut_gen"`
 			}
-			sp := b.trace.begin("service.apply")
+			sp := b.begin("service.apply")
 			start := time.Now()
 			status, err := e.call(ctx, http.MethodPost, "/v1/graphs/"+liveName+"/edges", body, &reply)
 			d := time.Since(start)
-			b.trace.end(sp)
+			b.trace.End(sp)
 			switch {
 			case status == http.StatusServiceUnavailable:
 				r.sheds.Add(1)
@@ -283,12 +288,12 @@ func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, err
 			case newGen <- struct{}{}:
 			default:
 			}
-			if k%uint64(e.w.compactEvery) == 0 {
-				sp := b.trace.begin("service.compact")
+			if k%compactEvery == 0 {
+				sp := b.begin("service.compact")
 				start := time.Now()
 				_, err := e.call(ctx, http.MethodPost, "/v1/graphs/"+liveName+"/compact", nil, nil)
 				d := time.Since(start)
-				b.trace.end(sp)
+				b.trace.End(sp)
 				if err != nil {
 					b.t.fail("compact after batch %d: %v", k, err)
 					continue
@@ -307,7 +312,7 @@ func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, err
 			// Count only once a batch has landed since the last count, so
 			// every count runs over a changed overlay instead of hitting
 			// the result cache.
-			for acked.Load() == seen {
+			for acked.Load() <= seen {
 				select {
 				case <-newGen:
 				case <-timeout.C:
@@ -317,13 +322,12 @@ func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, err
 				}
 			}
 			lo := acked.Load()
-			seen = lo
 			var reply countReply
-			sp := b.trace.begin("service.count")
+			sp := b.begin("service.count")
 			start := time.Now()
 			status, err := e.call(ctx, http.MethodGet, "/v1/graphs/"+liveName+"/count", nil, &reply)
 			d := time.Since(start)
-			b.trace.end(sp)
+			b.trace.End(sp)
 			hi := posted.Load()
 			if status == http.StatusServiceUnavailable {
 				r.sheds.Add(1)
@@ -337,6 +341,9 @@ func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, err
 				continue
 			}
 			b.t.ok()
+			// The run may have counted a batch acknowledged only after the
+			// GET was sent; wait for one past it.
+			seen = max(lo, reply.MutGen)
 			if reply.Origin == "cache" {
 				r.countHits++
 			} else {
@@ -356,10 +363,17 @@ func (b *bench) churn(ctx context.Context, dur time.Duration) (*churnResult, err
 	return &r, ctx.Err()
 }
 
+// checkLive checks a live count against the generations the counted view
+// can be at. The lowest is lo, every batch acknowledged before the GET was
+// sent. The highest is hi, every batch whose POST had started when the
+// reply arrived, and at most one past the reply's mut_gen: the service
+// applies a batch before it bumps mut_gen, and reads mut_gen after the
+// run, so with one writer the view is at most one batch ahead of it.
 func (b *bench) checkLive(reply countReply, lo, hi uint64) error {
 	if reply.MutGen < lo || reply.MutGen > hi {
 		return fmt.Errorf("live count: mut_gen %d outside [%d, %d]", reply.MutGen, lo, hi)
 	}
+	hi = min(hi, reply.MutGen+1)
 	for k := lo; k <= hi; k++ {
 		if b.e.cycle.ref(k) == reply.Triangles {
 			return nil

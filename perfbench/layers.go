@@ -15,6 +15,7 @@ import (
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
 	"pdtl/internal/mgt"
+	"pdtl/internal/obs"
 	"pdtl/internal/orient"
 	"pdtl/internal/scan"
 	"pdtl/internal/sched"
@@ -34,7 +35,7 @@ func (b *bench) layers(ctx context.Context, seconds float64) (map[string]float64
 	if err != nil {
 		return nil, err
 	}
-	defaults, err := defaultCoreOptions(e.opt.MemEdges)
+	defaults, err := e.coreOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +57,11 @@ func (b *bench) layers(ctx context.Context, seconds float64) (map[string]float64
 		{"list", func() error { return b.listLayer(ctx, m) }},
 	}
 	for _, s := range steps {
-		if err := b.trace.layer(s.name, s.run); err != nil {
+		b.layer = b.trace.Begin("layer."+s.name, obs.NoSpan)
+		err := s.run()
+		b.trace.End(b.layer)
+		b.layer = obs.NoSpan
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -67,11 +72,13 @@ func (b *bench) layers(ctx context.Context, seconds float64) (map[string]float64
 	return m, nil
 }
 
-// defaultCoreOptions resolves the engine options a public Count with the
-// workload's pins would run with: every knob but workers and budget at its
-// public default.
-func defaultCoreOptions(mem int) (core.Options, error) {
-	src, err := scan.ParseSource("")
+// coreOptions is the engine configuration the workload's public Count runs
+// with, so the probes measure whatever the public defaults are. The scan
+// source and scheduler are taken from the warm-up Result, which reports
+// them resolved. The kernel and the balance strategy mirror pdtl's
+// Options.toCore at its defaults: a Result does not report them.
+func (e *env) coreOptions() (core.Options, error) {
+	src, err := scan.ParseSource(e.warm.ScanSource)
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -79,22 +86,26 @@ func defaultCoreOptions(mem int) (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	mode, err := sched.ParseMode("")
+	mode, err := sched.ParseMode(e.warm.Sched)
+	if err != nil {
+		return core.Options{}, err
+	}
+	format, err := graph.ParseFormat(e.w.format)
 	if err != nil {
 		return core.Options{}, err
 	}
 	return core.Options{
-		Workers: workers, MemEdges: mem, Strategy: balance.InDegree,
-		Scan: src.Resolve(workers), Kernel: kernel, Sched: mode,
+		Workers: workers, MemEdges: e.opt.MemEdges, Strategy: balance.InDegree,
+		Scan: src, Kernel: kernel, Sched: mode, Store: format,
 	}, nil
 }
 
 // timed runs f reps times, each inside a span named name.
 func (b *bench) timed(name string, reps int, f func() error) error {
 	for i := 0; i < reps; i++ {
-		sp := b.trace.begin(name)
+		sp := b.begin(name)
 		err := f()
-		b.trace.end(sp)
+		b.trace.End(sp)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -102,7 +113,16 @@ func (b *bench) timed(name string, reps int, f func() error) error {
 	return nil
 }
 
-func (b *bench) spanMedian(name string) float64 { return median(b.trace.durations(name)) }
+// spanMedian is the median duration of the recorded spans named name.
+func (b *bench) spanMedian(name string) float64 {
+	var ds []float64
+	for _, sp := range b.trace.Spans() {
+		if sp.Name == name {
+			ds = append(ds, float64(sp.Dur)/1e9)
+		}
+	}
+	return median(ds)
+}
 
 // graphLayer: open of the unoriented store, and one full decode of every
 // compressed list with no intersection.
@@ -297,10 +317,10 @@ func (b *bench) mgtLayer(ctx context.Context, d *graph.Disk, opt core.Options, m
 			}
 			r, err := mgt.NewRunner(d, mgt.Config{MemEdges: opt.MemEdges, Counter: c, Source: h, Kernel: k})
 			if err == nil {
-				sp := b.trace.begin("mgt.run_range")
+				sp := b.begin("mgt.run_range")
 				var st mgt.Stats
 				st, err = r.RunRange(ctx, rng, nil)
-				b.trace.end(sp)
+				b.trace.End(sp)
 				total = total.Add(st)
 				ioTime += st.IO.IOTime()
 				cpuTime += st.CPUTime()
@@ -467,9 +487,9 @@ func (b *bench) coreLayer(ctx context.Context, d *graph.Disk, opt core.Options, 
 func (b *bench) clusterLayer(ctx context.Context, m map[string]float64) error {
 	var copyS, copyBytes, calc, netBytes, overhead []float64
 	for i := 0; i < layerReps; i++ {
-		sp := b.trace.begin("cluster.count")
-		_, res, err := b.distOnce(ctx)
-		wall := b.trace.end(sp)
+		sp := b.begin("cluster.count")
+		wall, res, err := b.distOnce(ctx)
+		b.trace.End(sp)
 		if err != nil {
 			return err
 		}
@@ -510,11 +530,11 @@ func (b *bench) liveLayer(ctx context.Context, m map[string]float64) error {
 	defer lg.Close()
 	var k uint64
 	for round := 0; round < layerReps; round++ {
-		for i := 0; i < e.w.compactEvery; i++ {
+		for i := 0; i < compactEvery; i++ {
 			ups := updates(e.cycle.batch(k))
-			sp := b.trace.begin("live.apply")
+			sp := b.begin("live.apply")
 			err := lg.Apply(ups)
-			b.trace.end(sp)
+			b.trace.End(sp)
 			if err != nil {
 				return fmt.Errorf("live apply batch %d: %w", k, err)
 			}
@@ -526,9 +546,9 @@ func (b *bench) liveLayer(ctx context.Context, m map[string]float64) error {
 			b.x.check(b.t, "live.delta_edges", delta)
 		}
 		for i := 0; i < 2; i++ {
-			sp := b.trace.begin("live.overlay_count")
+			sp := b.begin("live.overlay_count")
 			res, err := lg.Count(ctx, e.opt)
-			b.trace.end(sp)
+			b.trace.End(sp)
 			if err != nil {
 				return err
 			}
@@ -578,8 +598,8 @@ func (b *bench) listLayer(ctx context.Context, m map[string]float64) error {
 	return nil
 }
 
-// traceOverhead compares warm counts with the span recorder on and off,
-// alternating to cancel drift.
+// traceOverhead compares warm counts with the obs.Trace span recorder on
+// and off, alternating to cancel drift.
 func (b *bench) traceOverhead(ctx context.Context, m map[string]float64) error {
 	var on, off []float64
 	tr := b.trace

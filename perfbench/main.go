@@ -29,14 +29,22 @@ import (
 	"sort"
 	"syscall"
 	"time"
+
+	"pdtl/internal/obs"
 )
 
 // buildDir holds everything the benchmark writes in its checkout.
 const buildDir = ".bench_build"
 
-// setupReps is how many times a measuring run sets its workload up; setup_s
-// is their median.
-const setupReps = 3
+// A measuring run sets its workload up at least setupReps times, and more
+// (up to setupMaxReps) while the set-ups together take under
+// setupMinTime, so a set-up of milliseconds is still a steady median.
+// setup_s is their median.
+const (
+	setupReps    = 3
+	setupMaxReps = 15
+	setupMinTime = time.Second
+)
 
 type metricSpec struct {
 	Name string `json:"name"`
@@ -99,13 +107,14 @@ func benchmark(name string, seed int64, seconds float64, traced bool) error {
 	}
 	defer os.RemoveAll(dir)
 
-	reps := setupReps
+	minReps, maxReps := setupReps, setupMaxReps
 	if traced {
-		reps = 1
+		minReps, maxReps = 1, 1
 	}
 	var e *env
 	var setupTimes []float64
-	for i := 0; i < reps; i++ {
+	var setupTotal time.Duration
+	for i := 0; i < maxReps && (i < minReps || setupTotal < setupMinTime); i++ {
 		if e != nil {
 			e.close()
 			if err := os.RemoveAll(e.dir); err != nil {
@@ -120,7 +129,9 @@ func benchmark(name string, seed int64, seconds float64, traced bool) error {
 		if e, err = setup(ctx, w, sub, seed); err != nil {
 			return err
 		}
-		setupTimes = append(setupTimes, secs(time.Since(start)))
+		d := time.Since(start)
+		setupTotal += d
+		setupTimes = append(setupTimes, secs(d))
 	}
 	defer e.close()
 
@@ -130,25 +141,22 @@ func benchmark(name string, seed int64, seconds float64, traced bool) error {
 		return fmt.Errorf("reference: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "setup %.3gs ×%d, reference %.3gs: %d edges, %d triangles, budget %d entries\n",
-		median(setupTimes), reps, secs(time.Since(refStart)), e.edges, ref.triangles, e.opt.MemEdges)
+		median(setupTimes), len(setupTimes), secs(time.Since(refStart)), e.edges, ref.triangles, e.opt.MemEdges)
 	// The peak-RSS window opens here, after input generation and the
 	// reference computation, which are the benchmark's own work.
 	runtime.GC()
 	debug.FreeOSMemory()
 	resetPeakRSS()
 
-	b := &bench{e: e, ref: ref, t: &tally{}, x: &exact{}}
+	b := &bench{e: e, ref: ref, t: &tally{}, x: &exact{}, layer: obs.NoSpan}
 	var values map[string]float64
 	var want []metricSpec
 	if traced {
-		b.trace = newTracer()
+		b.trace = obs.NewTrace(traceSpans)
 		values, err = b.layers(ctx, seconds)
 		want = spec.PerLayer
 		if err == nil {
-			path := filepath.Join(buildDir, "traces", fmt.Sprintf("%s-seed%d.json", w.name, seed))
-			if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-				err = b.trace.write(path)
-			}
+			err = writeTrace(b.trace, filepath.Join(buildDir, "traces", fmt.Sprintf("%s-seed%d.json", w.name, seed)))
 		}
 	} else {
 		values, err = b.endToEnd(ctx, seconds, median(setupTimes))
@@ -189,6 +197,30 @@ func benchmark(name string, seed int64, seconds float64, traced bool) error {
 		return fmt.Errorf("%d of %d operations failed", res.Failed, res.Attempted)
 	}
 	return nil
+}
+
+// traceSpans is the traced run's span capacity, well above the few
+// thousand spans its live phase records.
+const traceSpans = 1 << 16
+
+// writeTrace writes t as Chrome trace_event JSON. A full slab drops spans
+// and would bias the span medians, so it is an error.
+func writeTrace(t *obs.Trace, path string) error {
+	if n := t.Dropped(); n > 0 {
+		return fmt.Errorf("trace dropped %d spans", n)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = t.WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func readSpec(path string) (*benchSpec, error) {

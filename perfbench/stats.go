@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -61,112 +59,6 @@ func quartiles(xs []float64) string {
 
 // secs converts a duration to float seconds.
 func secs(d time.Duration) float64 { return d.Seconds() }
-
-// tracer records spans around the benchmark's calls into each layer. Spans
-// stay in memory; write dumps them as Chrome trace_event JSON. A nil tracer
-// records nothing, which is how the untraced side of obs.trace_overhead is
-// timed.
-type tracer struct {
-	mu    sync.Mutex
-	t0    time.Time
-	spans []span
-	// parent is the open layer span new spans are recorded under (-1 for
-	// none).
-	parent int
-}
-
-type span struct {
-	Name   string
-	Parent int
-	Start  time.Duration
-	End    time.Duration
-}
-
-func newTracer() *tracer { return &tracer{t0: time.Now(), parent: -1} }
-
-// begin opens a span under the current layer span and returns its id.
-func (t *tracer) begin(name string) int {
-	if t == nil {
-		return -1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = append(t.spans, span{Name: name, Parent: t.parent, Start: time.Since(t.t0), End: -1})
-	return len(t.spans) - 1
-}
-
-// layer runs f inside a span named "layer."+name, which parents every span
-// f records.
-func (t *tracer) layer(name string, f func() error) error {
-	id := t.begin("layer." + name)
-	t.mu.Lock()
-	t.parent = id
-	t.mu.Unlock()
-	err := f()
-	t.mu.Lock()
-	t.parent = -1
-	t.mu.Unlock()
-	t.end(id)
-	return err
-}
-
-// end closes span id and returns its duration.
-func (t *tracer) end(id int) time.Duration {
-	if t == nil || id < 0 {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := &t.spans[id]
-	s.End = time.Since(t.t0)
-	return s.End - s.Start
-}
-
-// durations returns the durations of every closed span named name.
-func (t *tracer) durations(name string) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []float64
-	for _, s := range t.spans {
-		if s.Name == name && s.End >= 0 {
-			out = append(out, secs(s.End-s.Start))
-		}
-	}
-	return out
-}
-
-// write dumps the spans as Chrome trace_event JSON ("X" complete events;
-// the parent span id rides in args).
-func (t *tracer) write(path string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	type event struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]int `json:"args"`
-	}
-	events := make([]event, 0, len(t.spans))
-	for i, s := range t.spans {
-		if s.End < 0 {
-			continue
-		}
-		events = append(events, event{
-			Name: s.Name, Ph: "X", Pid: 1, Tid: 1,
-			Ts:   float64(s.Start.Nanoseconds()) / 1e3,
-			Dur:  float64((s.End - s.Start).Nanoseconds()) / 1e3,
-			Args: map[string]int{"id": i, "parent": s.Parent},
-		})
-	}
-	data, err := json.Marshal(map[string]any{"traceEvents": events})
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
 
 // resetPeakRSS restarts the kernel's peak-RSS (VmHWM) accounting, so the
 // peak read at the end covers the measured phase and not the benchmark's

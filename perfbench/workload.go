@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -39,17 +40,28 @@ type workload struct {
 	// one half-period of the live phase's churn trace: the trace is
 	// replayed forward and then inverted, so it cycles without running dry.
 	build func(base string, seed int64) ([]pdtl.StreamBatch, error)
-	// compactEvery forces a compaction after every compactEvery-th applied
-	// batch. It is odd, so the delta is never empty at a compaction point
-	// even for a single-batch trace.
-	compactEvery int
 }
 
 var workloads = []*workload{
-	{name: "inmem-dense", format: "plain", build: buildRMAT, compactEvery: 41},
-	{name: "ooc-skew", format: "compressed", tight: true, build: buildSkew, compactEvery: 41},
-	{name: "live-churn", format: "plain", build: buildChurn, compactEvery: 81},
+	{name: "inmem-dense", format: "plain", build: buildRMAT},
+	{name: "ooc-skew", format: "compressed", tight: true, build: buildSkew},
+	{name: "live-churn", format: "plain", build: buildChurn},
 }
+
+// The churn shape is the same on every workload and is taken from the
+// repository's own churn tools rather than tuned: a trace is pdtl-gen
+// stream's default of 10 batches of 100 updates with 30% deletes, and a
+// compaction is forced after every 1000 updates, the burst BenchChurnJSON
+// (pdtl-bench -churn) applies by default before it compacts.
+const (
+	churnBatches    = 10
+	churnBatchSize  = 100
+	churnDeleteFrac = 0.3
+	// compactEvery is 1000 updates in batches. It equals the trace length,
+	// so compactions fall on the cycle's turning points and the delta
+	// between two of them is the whole trace, never empty.
+	compactEvery = 1000 / churnBatchSize
+)
 
 func findWorkload(name string) (*workload, error) {
 	for _, w := range workloads {
@@ -61,8 +73,11 @@ func findWorkload(name string) (*workload, error) {
 }
 
 // buildRMAT writes an R-MAT graph, scale 16, edge factor 16. R-MAT has no
-// stream generator, so its churn batch deletes a seeded sample of the
-// graph's own edges; the inverse batch puts them back.
+// stream generator, so its trace is built here in the stream's shape:
+// each batch deletes a seeded sample of the graph's own edges and inserts
+// uniformly random vertex pairs that are not edges, as BenchChurnJSON's
+// burst does. No edge is touched twice in the trace, so every batch is
+// valid where it lands.
 func buildRMAT(base string, seed int64) ([]pdtl.StreamBatch, error) {
 	if _, err := pdtl.GenerateRMAT(base, 16, 16, seed); err != nil {
 		return nil, err
@@ -75,44 +90,63 @@ func buildRMAT(base string, seed int64) ([]pdtl.StreamBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	const sample = 64
+	nDel := int(math.Round(churnBatchSize * churnDeleteFrac))
 	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[[2]uint32]bool, sample)
-	var del [][2]uint32
-	for len(del) < sample {
-		pos := uint64(rng.Int63n(int64(len(csr.Adj))))
-		u, v := d.VertexAt(pos), csr.Adj[pos]
-		if u > v {
-			u, v = v, u
-		}
-		e := [2]uint32{u, v}
-		if !seen[e] {
-			seen[e] = true
-			del = append(del, e)
+	n := uint32(csr.NumVertices())
+	touched := make(map[[2]uint32]bool, churnBatches*churnBatchSize)
+	// pick draws an untouched vertex pair, present or absent as asked.
+	pick := func(present bool) [2]uint32 {
+		for {
+			var u, v uint32
+			if present {
+				pos := uint64(rng.Int63n(int64(len(csr.Adj))))
+				u, v = d.VertexAt(pos), csr.Adj[pos]
+			} else {
+				u, v = rng.Uint32()%n, rng.Uint32()%n
+			}
+			if u > v {
+				u, v = v, u
+			}
+			e := [2]uint32{u, v}
+			if u == v || touched[e] || csr.HasEdge(u, v) != present {
+				continue
+			}
+			touched[e] = true
+			return e
 		}
 	}
-	return []pdtl.StreamBatch{{Delete: del}}, nil
+	trace := make([]pdtl.StreamBatch, churnBatches)
+	for i := range trace {
+		for j := 0; j < churnBatchSize; j++ {
+			if j < nDel {
+				trace[i].Delete = append(trace[i].Delete, pick(true))
+			} else {
+				trace[i].Insert = append(trace[i].Insert, pick(false))
+			}
+		}
+	}
+	return trace, nil
 }
 
 // buildSkew writes the twitter-sim power law (2^15 vertices, 29·n edge
 // samples, exponent 1.9) through the stream generator, whose base graph is
 // exactly GeneratePowerLaw's, so the live phase replays a genuine trace.
 func buildSkew(base string, seed int64) ([]pdtl.StreamBatch, error) {
-	return buildStream(base, pdtl.StreamParams{
-		N: 1 << 15, M: 29 << 15, Exponent: 1.9,
-		Batches: 200, BatchSize: 32, DeleteFrac: 0.5, Seed: seed,
-	})
+	return buildStream(base, pdtl.StreamParams{N: 1 << 15, M: 29 << 15, Exponent: 1.9, Seed: seed})
 }
 
-// buildChurn writes a smaller power-law base and a long churn trace.
+// buildChurn writes pdtl-gen stream's default graph shape (10 edge samples
+// per vertex, exponent 2.5) at 2^14 vertices instead of the default 1000.
+// At 1000 vertices every operation took a few milliseconds, mostly file
+// and socket calls, and its median moved up to 18% between runs; at 2^14
+// each takes tens of milliseconds of counting and sorting, and stays
+// steady, while a live count is still short beside a compaction.
 func buildChurn(base string, seed int64) ([]pdtl.StreamBatch, error) {
-	return buildStream(base, pdtl.StreamParams{
-		N: 1 << 14, M: 10 << 14, Exponent: 2.2,
-		Batches: 400, BatchSize: 64, DeleteFrac: 0.4, Seed: seed,
-	})
+	return buildStream(base, pdtl.StreamParams{N: 1 << 14, M: 10 << 14, Exponent: 2.5, Seed: seed})
 }
 
 func buildStream(base string, p pdtl.StreamParams) ([]pdtl.StreamBatch, error) {
+	p.Batches, p.BatchSize, p.DeleteFrac = churnBatches, churnBatchSize, churnDeleteFrac
 	var buf bytes.Buffer
 	if _, err := pdtl.GenerateStream(base, &buf, "", p); err != nil {
 		return nil, err
@@ -220,6 +254,7 @@ type env struct {
 	coldBase, liveBase, directBase string
 
 	g     *pdtl.Graph
+	warm  *pdtl.Result // the warm-up Count's result
 	opt   pdtl.Options
 	copt  pdtl.ClusterOptions
 	edges uint64 // oriented adjacency entries |E*|
@@ -300,12 +335,11 @@ func (e *env) openHandle(ctx context.Context) error {
 		mem = max(int(e.edges)/(16*workers), 1)
 	}
 	e.opt = pdtl.Options{Workers: workers, MemEdges: mem, StoreFormat: e.w.format}
-	res, err := g.Count(ctx, e.opt)
-	if err != nil {
+	if e.warm, err = g.Count(ctx, e.opt); err != nil {
 		return fmt.Errorf("warm-up count: %w", err)
 	}
 	if e.w.tight {
-		e.opt.MemEdges = max(e.opt.MemEdges, 2*int(res.MaxOutDegree))
+		e.opt.MemEdges = max(e.opt.MemEdges, 2*int(e.warm.MaxOutDegree))
 	}
 	e.copt = pdtl.ClusterOptions{Workers: 1, MemEdges: e.opt.MemEdges, StoreFormat: e.w.format}
 	return nil
