@@ -2,9 +2,13 @@ package pdtl
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"pdtl/internal/graph"
 )
 
 // TestCountDistributedSurvivesDeadWorker: the public handle API's view of
@@ -72,5 +76,61 @@ func TestCountDistributedSurvivesDeadWorker(t *testing.T) {
 		Workers: 2, MemEdges: 512, MaxRetries: -1,
 	}); err == nil {
 		t.Fatal("MaxRetries<0: want error when a worker is unreachable")
+	}
+}
+
+// TestCountFailsOnDamagedCompressedStore: a compressed oriented store
+// damaged after the handle opened it must fail Count with an error — raised
+// by the bounds-index build of the first windowed pass, never a panic — and
+// since a failed build is not cached, a second Count fails again.
+func TestCountFailsOnDamagedCompressedStore(t *testing.T) {
+	for _, damage := range []string{"truncated", "corrupt"} {
+		t.Run(damage, func(t *testing.T) {
+			base := filepath.Join(t.TempDir(), "damaged")
+			if _, err := GeneratePowerLaw(base, 400, 4000, 2.0, 31); err != nil {
+				t.Fatal(err)
+			}
+			g, err := Open(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			ctx := context.Background()
+			// One runner over a whole-graph budget scans in a single full
+			// window: it orients into the compressed store without
+			// building the bounds index.
+			opt := Options{Workers: 1, MemEdges: 1 << 20, StoreFormat: "compressed"}
+			if _, err := g.Count(ctx, opt); err != nil {
+				t.Fatal(err)
+			}
+			path := graph.CAdjPath(g.OrientedBase())
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Damage the tail: the first window loads from the front, so
+			// the index build is the first read to reach the damage.
+			tail := len(blob) - len(blob)/10
+			if damage == "truncated" {
+				blob = blob[:tail]
+			} else {
+				for i := tail; i < len(blob); i++ {
+					blob[i] = 0xFF
+				}
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opt.MemEdges = 64
+			for i := 0; i < 2; i++ {
+				_, err := g.Count(ctx, opt)
+				if err == nil {
+					t.Fatalf("count %d over the %s store succeeded", i+1, damage)
+				}
+				if !strings.Contains(err.Error(), "bounds index") {
+					t.Fatalf("count %d: error %q does not come from the bounds-index build", i+1, err)
+				}
+			}
+		})
 	}
 }

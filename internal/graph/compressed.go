@@ -389,23 +389,3 @@ func (cl CompressedList) Decode(dst []Vertex) ([]Vertex, error) {
 		}
 	}
 }
-
-// Bounds parses only the segment headers and returns the list's first and
-// last values — the whole-list quick-reject test, O(segments) with no
-// payload decode. A zero-degree list returns ok=false.
-func (cl CompressedList) Bounds() (first, last Vertex, ok bool, err error) {
-	it := cl.Segments()
-	seg, more := it.Next()
-	if !more {
-		return 0, 0, false, it.Err()
-	}
-	first = seg.First
-	last = seg.Last
-	for {
-		next, more := it.Next()
-		if !more {
-			return first, last, true, it.Err()
-		}
-		last = next.Last
-	}
-}

@@ -375,6 +375,10 @@ type SeqScanner interface {
 	// SetMaxList caps the slice length Next returns; must be called before
 	// the first Next.
 	SetMaxList(maxList int)
+	// SetWindow lets the pass leave out every vertex whose list has no
+	// entry in [lo, hi] by b, reading past the list's bytes undecoded; nil
+	// b keeps the full pass. Must be called before the first Next.
+	SetWindow(b *BoundsIndex, lo, hi Vertex)
 	// Next returns the next vertex and its list (or list segment).
 	Next() (u Vertex, list []Vertex, ok bool)
 	// Err reports the first error encountered by Next.
@@ -390,8 +394,10 @@ type SeqScanner interface {
 //
 // The byte stream arrives through exactly one of two channels: a fill
 // callback (reads the next len(p) stream bytes — a buffered file read, or a
-// shared-broadcast ring consumer), or a mem slice holding the whole data
-// area (zero-copy). Having one decoder behind every scan source is what
+// shared-broadcast ring consumer) paired with a skip callback (advances
+// past the next n stream bytes without copying them — the lists a windowed
+// pass leaves out), or a mem slice holding the whole data area
+// (zero-copy). Having one decoder behind every scan source is what
 // keeps the segment streams bitwise identical across sources.
 //
 // Next and NextCompressed are mutually exclusive on one scan: each consumes
@@ -399,6 +405,8 @@ type SeqScanner interface {
 type CompressedSeqScan struct {
 	disk   *Disk
 	fill   func([]byte) error
+	skip   func(int) error
+	bpos   uint64 // data-area offset of the stream's read position (fill mode)
 	mem    []byte // whole data area; nil in fill mode
 	closer func() error
 
@@ -434,10 +442,12 @@ func (d *Disk) maxEncodedList() int {
 // newCompressedSeqScan builds a scan in fill mode (mem == nil) or mem mode.
 // start is the first vertex of the pass; the stream must be positioned at
 // its encoding.
-func newCompressedSeqScan(d *Disk, start Vertex, fill func([]byte) error, mem []byte, closer func() error) *CompressedSeqScan {
+func newCompressedSeqScan(d *Disk, start Vertex, fill func([]byte) error, skip func(int) error, mem []byte, closer func() error) *CompressedSeqScan {
 	sc := &CompressedSeqScan{
 		disk:    d,
 		fill:    fill,
+		skip:    skip,
+		bpos:    d.ByteOffs[start],
 		mem:     mem,
 		closer:  closer,
 		cur:     NewSegCursor(d, start, 0),
@@ -462,8 +472,13 @@ func (sc *CompressedSeqScan) SetMaxList(maxList int) {
 	}
 }
 
+// SetWindow implements SeqScanner; it applies to Next and NextCompressed
+// alike.
+func (sc *CompressedSeqScan) SetWindow(b *BoundsIndex, lo, hi Vertex) { sc.cur.SetWindow(b, lo, hi) }
+
 // listBytes reads vertex u's raw encoding from the stream (fill mode copies
-// into rawBuf; mem mode slices in place).
+// into rawBuf, first skipping the lists the window left out; mem mode
+// slices in place).
 func (sc *CompressedSeqScan) listBytes(u Vertex) ([]byte, error) {
 	lo, hi := sc.disk.ByteOffs[u], sc.disk.ByteOffs[u+1]
 	if sc.mem != nil {
@@ -472,11 +487,35 @@ func (sc *CompressedSeqScan) listBytes(u Vertex) ([]byte, error) {
 		}
 		return sc.mem[lo:hi], nil
 	}
+	if err := sc.seek(lo); err != nil {
+		return nil, err
+	}
 	raw := sc.rawBuf[:hi-lo]
 	if err := sc.fill(raw); err != nil {
 		return nil, err
 	}
+	sc.bpos = hi
 	return raw, nil
+}
+
+// seek advances a fill-mode stream to data-area offset off through the
+// skip callback. Skipped bytes are still read from the file or received
+// from the broadcast, so a windowed pass moves the volume of a full one.
+func (sc *CompressedSeqScan) seek(off uint64) error {
+	if sc.mem != nil || off <= sc.bpos {
+		return nil
+	}
+	err := sc.skip(int(off - sc.bpos))
+	sc.bpos = off
+	return err
+}
+
+// end finishes the pass: the stream is advanced past the lists the window
+// left out after the last yielded vertex.
+func (sc *CompressedSeqScan) end() {
+	if err := sc.seek(sc.disk.ByteOffs[sc.disk.NumVertices()]); err != nil && sc.err == nil {
+		sc.err = fmt.Errorf("graph: compressed scan past the last list: %w", err)
+	}
 }
 
 // Next implements SeqScanner.
@@ -486,6 +525,7 @@ func (sc *CompressedSeqScan) Next() (Vertex, []Vertex, bool) {
 	}
 	u, n, ok := sc.cur.Step()
 	if !ok {
+		sc.end()
 		return 0, nil, false
 	}
 	if n == 0 {
@@ -518,7 +558,7 @@ func (sc *CompressedSeqScan) Next() (Vertex, []Vertex, bool) {
 			sc.err = fmt.Errorf("graph: compressed scan vertex %d: %w", u, err)
 			return 0, nil, false
 		}
-		out, err := DecodeSegment(seg, sc.listBuf[:sc.qhi])
+		out, _, err := DecodeSegmentFast(seg, sc.listBuf[:sc.qhi])
 		if err != nil {
 			sc.err = fmt.Errorf("graph: compressed scan vertex %d: %w", u, err)
 			return 0, nil, false
@@ -539,7 +579,9 @@ func (sc *CompressedSeqScan) NextCompressed() (Vertex, CompressedList, bool) {
 	if sc.err != nil {
 		return 0, CompressedList{}, false
 	}
+	sc.cv = sc.cur.skip(sc.cv)
 	if int(sc.cv) >= sc.disk.NumVertices() {
+		sc.end()
 		return 0, CompressedList{}, false
 	}
 	u := sc.cv
@@ -568,14 +610,15 @@ func (sc *CompressedSeqScan) Close() error {
 }
 
 // NewCompressedScan adapts an externally supplied byte stream (fill reads
-// the next len(p) data-area bytes, positioned at vertex 0) into a
-// CompressedSeqScan — the shared broadcaster's ring consumer plugs in here.
-// closer runs on Close (nil for none). d must be a compressed store.
-func (d *Disk) NewCompressedScan(fill func([]byte) error, closer func() error) (*CompressedSeqScan, error) {
+// the next len(p) data-area bytes, positioned at vertex 0; skip advances
+// past the next n without copying) into a CompressedSeqScan — the shared
+// broadcaster's ring consumer plugs in here. closer runs on Close (nil for
+// none). d must be a compressed store.
+func (d *Disk) NewCompressedScan(fill func([]byte) error, skip func(int) error, closer func() error) (*CompressedSeqScan, error) {
 	if d.Format() != FormatCompressed {
 		return nil, fmt.Errorf("graph: %s is not a compressed store", d.Base)
 	}
-	return newCompressedSeqScan(d, 0, fill, nil, closer), nil
+	return newCompressedSeqScan(d, 0, fill, skip, nil, closer), nil
 }
 
 // NewCompressedMemScan adapts the preloaded data area (exactly the .cadj
@@ -588,7 +631,7 @@ func (d *Disk) NewCompressedMemScan(data []byte) (*CompressedSeqScan, error) {
 	if uint64(len(data)) != d.ByteOffs[d.NumVertices()] {
 		return nil, fmt.Errorf("graph: preloaded data area is %d bytes, index says %d", len(data), d.ByteOffs[d.NumVertices()])
 	}
-	return newCompressedSeqScan(d, 0, nil, data, nil), nil
+	return newCompressedSeqScan(d, 0, nil, nil, data, nil), nil
 }
 
 // RandomReader reads arbitrary adjacency-entry ranges — the window loads and

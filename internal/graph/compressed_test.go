@@ -73,9 +73,9 @@ func TestCompressedListRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, list) {
 			t.Fatalf("list %d: round trip mismatch:\n got %v\nwant %v", i, got, list)
 		}
-		first, last, ok, err := cl.Bounds()
-		if err != nil || !ok {
-			t.Fatalf("list %d: bounds: ok=%v err=%v", i, ok, err)
+		first, last, err := ListBounds(cl, make([]Vertex, 0, SegmentEntries))
+		if err != nil {
+			t.Fatalf("list %d: bounds: %v", i, err)
 		}
 		if first != list[0] || last != list[len(list)-1] {
 			t.Fatalf("list %d: bounds [%d,%d], want [%d,%d]", i, first, last, list[0], list[len(list)-1])
@@ -437,7 +437,7 @@ func FuzzSegmentCodec(f *testing.F) {
 		if decoded, err := cl.Decode(nil); err == nil && len(decoded) != int(degree) {
 			t.Fatalf("decode reported success with %d entries for degree %d", len(decoded), degree)
 		}
-		cl.Bounds()
+		ListBounds(cl, nil)
 
 		// Property 2: a sorted unique list derived from the bytes
 		// round-trips exactly.

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"pdtl/internal/ioacct"
 )
@@ -151,6 +153,11 @@ type Disk struct {
 	// area, with ByteOffs[NumVertices] the data area's size; nil for plain
 	// stores.
 	ByteOffs []uint64
+
+	// bounds caches the per-vertex bounds index of windowed scan passes,
+	// built on first use (see BoundsIndex); boundsMu serializes the build.
+	boundsMu sync.Mutex
+	bounds   atomic.Pointer[BoundsIndex]
 }
 
 // Format reports the store's adjacency encoding (empty metadata means
@@ -338,17 +345,46 @@ func (d *Disk) LoadCSR() (*CSR, error) {
 // scan source in internal/scan — drives its decoding off this one type, so
 // the "bitwise identical segment streams across sources" contract has a
 // single implementation.
+//
+// A cursor may also carry a vertex window (SetWindow): it then passes over
+// every vertex whose list cannot reach the window, and a reader that
+// consumes a byte stream finds the skipped lists by position — the next
+// yielded vertex's Offsets (or ByteOffs) entry lies past its own cursor.
 type SegCursor struct {
 	disk    *Disk
 	maxList int // segment cap; 0 = whole lists
 	next    Vertex
 	remain  int // entries of the current vertex still unread
+
+	bounds *BoundsIndex // nil = no window
+	lo, hi Vertex       // the window, when bounds is set
 }
 
 // NewSegCursor returns a cursor over d's vertices starting at start, with
 // segments capped at maxList entries (0 = whole lists).
 func NewSegCursor(d *Disk, start Vertex, maxList int) SegCursor {
 	return SegCursor{disk: d, next: start, maxList: maxList}
+}
+
+// SetWindow restricts the cursor to the vertices whose list may have an
+// entry in [lo, hi] by b: every other vertex, zero-degree ones included, is
+// passed over without a yield. Vertices that are yielded are segmented
+// exactly as without a window. A nil b clears the window.
+func (c *SegCursor) SetWindow(b *BoundsIndex, lo, hi Vertex) {
+	c.bounds, c.lo, c.hi = b, lo, hi
+}
+
+// skip returns the first vertex at or after v that the window keeps, or
+// NumVertices when none is left.
+func (c *SegCursor) skip(v Vertex) Vertex {
+	if c.bounds == nil {
+		return v
+	}
+	i, n := int(v), c.disk.NumVertices()
+	for i < n && c.bounds.misses(i, c.lo, c.hi) {
+		i++
+	}
+	return Vertex(i)
 }
 
 // Step returns the next segment's vertex and entry count; n is 0 for a
@@ -358,6 +394,7 @@ func (c *SegCursor) Step() (u Vertex, n int, ok bool) {
 		u = c.next - 1
 		n = c.remain
 	} else {
+		c.next = c.skip(c.next)
 		if int(c.next) >= c.disk.NumVertices() {
 			return 0, 0, false
 		}
@@ -385,9 +422,27 @@ type Scanner struct {
 	file    *os.File
 	r       *bufio.Reader
 	cur     SegCursor
+	pos     uint64 // entry index of the stream's read position
 	listBuf []Vertex
 	byteBuf []byte
 	err     error
+}
+
+// SetWindow lets the pass leave out every vertex whose list has no entry
+// in [lo, hi] by b (see SegCursor.SetWindow); the bytes of a left-out list
+// are read past, never decoded. Must be called before the first Next.
+func (s *Scanner) SetWindow(b *BoundsIndex, lo, hi Vertex) { s.cur.SetWindow(b, lo, hi) }
+
+// seek advances the stream to entry index off, discarding the lists of
+// vertices the window left out. The bytes still pass through the reader,
+// so a windowed pass reads exactly the volume of a full one.
+func (s *Scanner) seek(off uint64) error {
+	if off <= s.pos {
+		return nil
+	}
+	_, err := s.r.Discard(int(off-s.pos) * EntrySize)
+	s.pos = off
+	return err
 }
 
 // SetMaxList caps the slice length Next returns; longer lists are split
@@ -435,7 +490,11 @@ func (d *Disk) NewScannerAt(start Vertex, c *ioacct.Counter, bufSize int) (SeqSc
 			_, err := io.ReadFull(br, p)
 			return err
 		}
-		return newCompressedSeqScan(d, start, fill, nil, f.Close), nil
+		skip := func(n int) error {
+			_, err := br.Discard(n)
+			return err
+		}
+		return newCompressedSeqScan(d, start, fill, skip, nil, f.Close), nil
 	}
 	f, err := d.OpenAdj()
 	if err != nil {
@@ -456,6 +515,7 @@ func (d *Disk) NewScannerAt(start Vertex, c *ioacct.Counter, bufSize int) (SeqSc
 		file:    f,
 		r:       bufio.NewReaderSize(r, bufSize),
 		cur:     NewSegCursor(d, start, 0),
+		pos:     d.Offsets[start],
 		listBuf: make([]Vertex, int(maxU32(d.Degrees))),
 		byteBuf: make([]byte, int(maxU32(d.Degrees))*EntrySize),
 	}, nil
@@ -482,6 +542,13 @@ func (s *Scanner) Next() (u Vertex, list []Vertex, ok bool) {
 	}
 	u, d, ok := s.cur.Step()
 	if !ok {
+		if err := s.seek(s.disk.Meta.AdjEntries); err != nil {
+			s.err = fmt.Errorf("graph: scan past the last list: %w", err)
+		}
+		return 0, nil, false
+	}
+	if err := s.seek(s.disk.Offsets[u]); err != nil {
+		s.err = fmt.Errorf("graph: scan vertex %d: %w", u, err)
 		return 0, nil, false
 	}
 	if d == 0 {
@@ -492,6 +559,7 @@ func (s *Scanner) Next() (u Vertex, list []Vertex, ok bool) {
 		s.err = fmt.Errorf("graph: scan vertex %d: %w", u, err)
 		return 0, nil, false
 	}
+	s.pos += uint64(d)
 	list = s.listBuf[:d]
 	for i := 0; i < d; i++ {
 		list[i] = binary.LittleEndian.Uint32(raw[i*EntrySize:])

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -556,5 +557,67 @@ func TestOverlaySourceSegmentation(t *testing.T) {
 	// the overlay's Scan and ReadEntries paths.
 	if got := countLive(t, lg, core.Options{Workers: 3, MemEdges: 256}); got != want {
 		t.Fatalf("segmented count = %d want %d", got, want)
+	}
+}
+
+// TestOverlayScanWindowIsFullPass: the overlay ignores a pass's window —
+// its merged lists differ from the base store's, whose bounds index does
+// not describe them — which the scan.Handle contract allows: ScanWindow
+// yields exactly Scan's stream for every window and segment cap.
+func TestOverlayScanWindowIsFullPass(t *testing.T) {
+	g0, err := gen.PowerLaw(100, 1200, 1.8, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	lg, err := Open(writeOriented(t, dir, g0, graph.FormatPlain), Config{Dir: dir, Name: "win"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	rng := rand.New(rand.NewSource(6))
+	if err := lg.ApplyBatch(randomBatch(rng, setFromCSR(g0), 60, 110)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := lg.currentView().merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := newOverlaySource(m, scan.Config{}).Handle(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	type seg struct {
+		u    graph.Vertex
+		list []graph.Vertex
+	}
+	collect := func(sc scan.Scan, err error) []seg {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		var out []seg
+		for {
+			u, list, ok := sc.Next()
+			if !ok {
+				break
+			}
+			out = append(out, seg{u, append([]graph.Vertex(nil), list...)})
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	n := graph.Vertex(m.disk.NumVertices())
+	for _, maxList := range []int{0, 3} {
+		want := collect(h.Scan(maxList))
+		for _, w := range [][2]graph.Vertex{{0, n - 1}, {n / 2, n / 2}, {n + 5, n + 5}, {1, n / 3}} {
+			if got := collect(h.ScanWindow(maxList, w[0], w[1])); !reflect.DeepEqual(got, want) {
+				t.Fatalf("maxList=%d window %v: ScanWindow yielded %d segments, Scan %d — or different lists", maxList, w, len(got), len(want))
+			}
+		}
 	}
 }

@@ -36,9 +36,9 @@ func (s *overlaySource) Handle(c *ioacct.Counter) (scan.Handle, error) {
 	return &overlayHandle{m: s.m}, nil
 }
 
-func (s *overlaySource) IO() ioacct.Stats    { return s.io.Snapshot() }
+func (s *overlaySource) IO() ioacct.Stats      { return s.io.Snapshot() }
 func (s *overlaySource) Kind() scan.SourceKind { return scan.SourceMem }
-func (s *overlaySource) Close() error        { return nil }
+func (s *overlaySource) Close() error          { return nil }
 
 // overlayHandle is one runner's accessor. The scratch buffer holds one
 // merged out-list at a time; it is sized to the largest merged degree so a
@@ -58,6 +58,13 @@ func (h *overlayHandle) Scan(maxList int) (scan.Scan, error) {
 		maxList: maxList,
 		scratch: make([]graph.Vertex, 0, h.m.maxMergedDeg),
 	}, nil
+}
+
+// ScanWindow ignores the window, as the scan.Handle contract allows: the
+// merged lists can differ from the base store's, so the base store's bounds
+// index does not describe them. The pass is the full Scan.
+func (h *overlayHandle) ScanWindow(maxList int, _, _ graph.Vertex) (scan.Scan, error) {
+	return h.Scan(maxList)
 }
 
 // ReadEntries serves the random-access path: entry positions index the

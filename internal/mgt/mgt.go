@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -207,6 +208,7 @@ type Runner struct {
 	// checked once here instead of per intersection.
 	bkernel    scan.BlockKernel
 	segScratch []graph.Vertex // segment decode scratch of the compressed pass
+	nmp        []graph.Vertex // N+(u) of the current cone vertex, cap min(d*max, M)
 	// ckernel/cbkernel are kernel's count-only views (nil when the kernel
 	// lacks them): the closure-free hot path taken by RunRange when no sink
 	// is attached. cbkernel additionally requires a compressed store, like
@@ -237,6 +239,10 @@ type Runner struct {
 	vlow  graph.Vertex
 	vhigh graph.Vertex
 	winLo uint64
+	// windowed reports whether the current range needs more than one
+	// window. Only then do its passes ask the source for the window's
+	// vertex span (see scanPass).
+	windowed bool
 
 	// Large-vertex state (removal of the small-degree assumption): a
 	// value-sorted index of the window's edges, an epoch-stamped mark
@@ -299,6 +305,11 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 	if ck, ok := r.kernel.(scan.CountKernel); ok {
 		r.ckernel = ck
 	}
+	maxNmp := int(d.Meta.MaxOutDegree)
+	if maxNmp > cfg.MemEdges {
+		maxNmp = cfg.MemEdges
+	}
+	r.nmp = make([]graph.Vertex, 0, maxNmp)
 	r.arena = scan.NewArena()
 	r.emitFn = r.emit
 	return r, nil
@@ -340,6 +351,7 @@ func (r *Runner) RunRange(ctx context.Context, rng balance.Range, sink Sink) (St
 	}
 	r.stats = Stats{}
 	r.sink = sink
+	r.windowed = rng.Hi-rng.Lo > uint64(r.cfg.MemEdges)
 	r.countOnly = sink == nil && r.ckernel != nil
 	ioStart := r.counter.Snapshot()
 	wordStart, fastStart := r.arena.WordOps, r.arena.FastDecodes
@@ -446,14 +458,23 @@ func (r *Runner) loadWindow(pos, end uint64) error {
 	return nil
 }
 
-// scanPass streams the whole adjacency file once, reporting every triangle
-// whose pivot edge is inside the current window. Cone vertices whose
-// out-list exceeds M take the segmented large-vertex path. When the kernel
-// can intersect compressed lists and the scan can deliver them, the pass
-// runs directly on the compressed form instead.
+// scanPass streams the adjacency file once, reporting every triangle whose
+// pivot edge is inside the current window. In a range of several windows
+// the pass is windowed to [vlow, vhigh]: the source may leave out cone
+// vertices whose list has no entry there, which could not yield an
+// intersection. A range that one window covers is scanned once, in full:
+// the bounds index a windowed pass filters with costs about one pass to
+// build, so such a range never asks for it. Cone vertices whose out-list
+// exceeds M take the segmented large-vertex path. When the kernel can
+// intersect compressed lists and the scan can deliver them, the pass runs
+// directly on the compressed form instead.
 func (r *Runner) scanPass() error {
 	d := r.disk
-	sc, err := r.handle.Scan(r.cfg.MemEdges)
+	lo, hi := graph.Vertex(0), graph.Vertex(math.MaxUint32)
+	if r.windowed {
+		lo, hi = r.vlow, r.vhigh
+	}
+	sc, err := r.handle.ScanWindow(r.cfg.MemEdges, lo, hi)
 	if err != nil {
 		return err
 	}
@@ -464,11 +485,7 @@ func (r *Runner) scanPass() error {
 		}
 	}
 
-	maxNmp := int(d.Meta.MaxOutDegree)
-	if maxNmp > r.cfg.MemEdges {
-		maxNmp = r.cfg.MemEdges
-	}
-	nmp := make([]graph.Vertex, 0, maxNmp)
+	nmp := r.nmp
 	for {
 		u, nm, ok := sc.Next()
 		if !ok {
@@ -531,11 +548,7 @@ func (r *Runner) scanPass() error {
 // same ascending w per pivot — which the cross-check tests pin down.
 func (r *Runner) scanPassCompressed(sc scan.Scan, csc scan.CompressedScan) error {
 	d := r.disk
-	maxNmp := int(d.Meta.MaxOutDegree)
-	if maxNmp > r.cfg.MemEdges {
-		maxNmp = r.cfg.MemEdges
-	}
-	nmp := make([]graph.Vertex, 0, maxNmp)
+	nmp := r.nmp
 	for {
 		u, cl, ok := csc.NextCompressed()
 		if !ok {

@@ -45,12 +45,19 @@ type bufferedHandle struct {
 	ra  graph.RandomReader
 }
 
-func (h *bufferedHandle) Scan(maxList int) (Scan, error) {
+func (h *bufferedHandle) Scan(maxList int) (Scan, error) { return h.ScanWindow(maxList, 0, fullWindow) }
+
+func (h *bufferedHandle) ScanWindow(maxList int, lo, hi graph.Vertex) (Scan, error) {
+	b, err := windowIndex(h.src.cfg.Ctx, h.src.d, lo, hi)
+	if err != nil {
+		return nil, err
+	}
 	sc, err := h.src.d.NewScanner(h.c, h.src.cfg.BufBytes)
 	if err != nil {
 		return nil, err
 	}
 	sc.SetMaxList(maxList)
+	sc.SetWindow(b, lo, hi)
 	return sc, nil
 }
 

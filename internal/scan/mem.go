@@ -87,16 +87,25 @@ type memHandle struct {
 	scratch []graph.Vertex // segment decode scratch (compressed stores)
 }
 
-func (h *memHandle) Scan(maxList int) (Scan, error) {
+func (h *memHandle) Scan(maxList int) (Scan, error) { return h.ScanWindow(maxList, 0, fullWindow) }
+
+func (h *memHandle) ScanWindow(maxList int, lo, hi graph.Vertex) (Scan, error) {
+	b, err := windowIndex(h.src.cfg.Ctx, h.src.d, lo, hi)
+	if err != nil {
+		return nil, err
+	}
 	if h.src.cdata != nil {
 		sc, err := h.src.d.NewCompressedMemScan(h.src.cdata)
 		if err != nil {
 			return nil, err
 		}
 		sc.SetMaxList(maxList)
+		sc.SetWindow(b, lo, hi)
 		return sc, nil
 	}
-	return &memScan{src: h.src, cur: graph.NewSegCursor(h.src.d, 0, maxList)}, nil
+	sc := &memScan{src: h.src, cur: graph.NewSegCursor(h.src.d, 0, maxList)}
+	sc.cur.SetWindow(b, lo, hi)
+	return sc, nil
 }
 
 func (h *memHandle) ReadEntries(dst []graph.Vertex, pos uint64) error {
@@ -115,7 +124,8 @@ func (h *memHandle) Close() error { return nil }
 
 // memScan yields adjacency lists directly out of the in-memory array —
 // zero copy — with graph.Scanner's segmentation semantics via
-// graph.SegCursor.
+// graph.SegCursor. Lists a window leaves out are skipped by moving the
+// cursor to the next yielded vertex's offset.
 type memScan struct {
 	src *memSource
 	cur graph.SegCursor
@@ -126,6 +136,9 @@ func (sc *memScan) Next() (graph.Vertex, []graph.Vertex, bool) {
 	u, d, ok := sc.cur.Step()
 	if !ok {
 		return 0, nil, false
+	}
+	if off := sc.src.d.Offsets[u]; off > sc.pos {
+		sc.pos = off
 	}
 	list := sc.src.adj[sc.pos : sc.pos+uint64(d)]
 	sc.pos += uint64(d)

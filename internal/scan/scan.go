@@ -22,12 +22,16 @@
 // entries (exactly like graph.Scanner, whose segmentation removes the
 // paper's small-degree assumption), and random access reads any entry
 // range. Triangle output is therefore bitwise identical across sources —
-// the cross-check tests in internal/core assert this.
+// the cross-check tests in internal/core assert this. A windowed pass
+// (Handle.ScanWindow) is the full pass minus lists that cannot reach the
+// runner's memory window; the disk-backed sources skip those lists without
+// copying or decoding them.
 package scan
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"pdtl/internal/graph"
 	"pdtl/internal/ioacct"
@@ -138,8 +142,19 @@ type Handle interface {
 	// Scan starts a full sequential pass over the adjacency file. Lists
 	// longer than maxList entries are yielded in consecutive sorted
 	// segments under the same vertex (maxList <= 0 means whole lists). At
-	// most one Scan may be in flight per handle.
+	// most one Scan may be in flight per handle. It is ScanWindow over the
+	// whole vertex range.
 	Scan(maxList int) (Scan, error)
+	// ScanWindow starts a pass for a runner whose memory window spans the
+	// vertices [lo, hi]. The pass may leave out any vertex whose list has
+	// no entry in [lo, hi] — such a list closes no triangle in the window
+	// — and yields every other vertex exactly as Scan would, segment for
+	// segment. Disk-backed sources leave out every list whose first and
+	// last entry (graph.BoundsIndex) miss the window, advancing past its
+	// bytes without copying or decoding them; the bytes still move, so a
+	// windowed pass reads what a full one does. A window spanning every
+	// vertex is exactly Scan and never builds the bounds index.
+	ScanWindow(maxList int, lo, hi graph.Vertex) (Scan, error)
 	// ReadEntries fills dst with the adjacency entries
 	// [pos, pos+len(dst)) — the random-access path of the window loads
 	// and large-vertex re-reads.
@@ -169,6 +184,19 @@ type Scan interface {
 	// Close abandons the pass; it must be called even after a complete
 	// pass.
 	Close() error
+}
+
+// fullWindow is the vertex window of a full pass.
+const fullWindow = graph.Vertex(math.MaxUint32)
+
+// windowIndex returns the bounds index a pass over the vertex window
+// [lo, hi] of d filters with, or nil when the window spans every vertex —
+// full passes never build the index.
+func windowIndex(ctx context.Context, d *graph.Disk, lo, hi graph.Vertex) (*graph.BoundsIndex, error) {
+	if lo == 0 && int64(hi) >= int64(d.NumVertices())-1 {
+		return nil, nil
+	}
+	return d.BoundsIndex(ctx)
 }
 
 // New creates a source of the given concrete kind over the oriented store

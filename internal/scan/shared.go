@@ -303,24 +303,37 @@ type sharedHandle struct {
 	closed bool
 }
 
-func (h *sharedHandle) Scan(maxList int) (Scan, error) {
+func (h *sharedHandle) Scan(maxList int) (Scan, error) { return h.ScanWindow(maxList, 0, fullWindow) }
+
+// ScanWindow subscribes to the next broadcast round. Every subscriber
+// receives every block; a windowed one advances past the blocks' bytes of
+// the lists it leaves out and releases each block it finishes, so it never
+// holds back the round.
+func (h *sharedHandle) ScanWindow(maxList int, lo, hi graph.Vertex) (Scan, error) {
+	d := h.src.d
+	// The index is built before subscribing, so a runner building it does
+	// not join a round it cannot yet consume.
+	b, err := windowIndex(h.src.cfg.Ctx, d, lo, hi)
+	if err != nil {
+		return nil, err
+	}
 	sub, err := h.src.subscribe()
 	if err != nil {
 		return nil, err
 	}
-	d := h.src.d
 	if d.Format() == graph.FormatCompressed {
 		// The broadcast stream carries the compressed data area; the ring
 		// consumer below is the byte source, and the one graph-level decoder
 		// turns it into the standard segment stream (plus NextCompressed for
 		// the block-skipping kernels).
 		rf := &sharedScan{sub: sub, ctx: h.src.cfg.Ctx, c: h.c}
-		gsc, err := d.NewCompressedScan(rf.fill, rf.Close)
+		gsc, err := d.NewCompressedScan(rf.fill, rf.skip, rf.Close)
 		if err != nil {
 			rf.Close()
 			return nil, err
 		}
 		gsc.SetMaxList(maxList)
+		gsc.SetWindow(b, lo, hi)
 		return gsc, nil
 	}
 	bufEntries := int(d.Meta.MaxOutDegree)
@@ -330,14 +343,17 @@ func (h *sharedHandle) Scan(maxList int) (Scan, error) {
 	if maxList > 0 && maxList < bufEntries {
 		bufEntries = maxList
 	}
-	return &sharedScan{
+	sc := &sharedScan{
+		d:       d,
 		cur:     graph.NewSegCursor(d, 0, maxList),
 		sub:     sub,
 		ctx:     h.src.cfg.Ctx,
 		c:       h.c,
 		listBuf: make([]graph.Vertex, bufEntries),
 		byteBuf: make([]byte, bufEntries*graph.EntrySize),
-	}, nil
+	}
+	sc.cur.SetWindow(b, lo, hi)
+	return sc, nil
 }
 
 func (h *sharedHandle) ReadEntries(dst []graph.Vertex, pos uint64) error {
@@ -362,7 +378,9 @@ func (h *sharedHandle) Close() error {
 // the round's first block is *not* charged — it measures round formation
 // (other runners still computing), not the disk.
 type sharedScan struct {
+	d   *graph.Disk // plain stores; nil when a compressed decoder drives fill
 	cur graph.SegCursor
+	pos uint64 // entry index of the stream position (plain stores)
 	sub *subscription
 	ctx context.Context
 	c   *ioacct.Counter
@@ -378,8 +396,16 @@ type sharedScan struct {
 
 // fill copies the next len(raw) stream bytes into raw, receiving blocks as
 // needed.
-func (sc *sharedScan) fill(raw []byte) error {
-	for len(raw) > 0 {
+func (sc *sharedScan) fill(raw []byte) error { return sc.consume(raw, len(raw)) }
+
+// skip advances past the next n stream bytes without copying them,
+// releasing every block it finishes.
+func (sc *sharedScan) skip(n int) error { return sc.consume(nil, n) }
+
+// consume takes the next n stream bytes, copying them into dst unless dst
+// is nil.
+func (sc *sharedScan) consume(dst []byte, n int) error {
+	for n > 0 {
 		if len(sc.blk) == 0 {
 			var b block
 			var ok bool
@@ -406,9 +432,13 @@ func (sc *sharedScan) fill(raw []byte) error {
 			sc.curBlk = b
 			sc.blk = b.data
 		}
-		n := copy(raw, sc.blk)
-		raw = raw[n:]
-		sc.blk = sc.blk[n:]
+		k := min(n, len(sc.blk))
+		if dst != nil {
+			copy(dst, sc.blk[:k])
+			dst = dst[k:]
+		}
+		n -= k
+		sc.blk = sc.blk[k:]
 		if len(sc.blk) == 0 {
 			sc.curBlk.release()
 			sc.curBlk = block{}
@@ -423,6 +453,15 @@ func (sc *sharedScan) Next() (graph.Vertex, []graph.Vertex, bool) {
 	}
 	u, d, ok := sc.cur.Step()
 	if !ok {
+		// Consume the round to its end: the lists a window left out after
+		// the last yielded vertex are still this subscriber's to release.
+		if err := sc.seek(sc.d.Meta.AdjEntries); err != nil {
+			sc.err = fmt.Errorf("scan: shared scan past the last list: %w", err)
+		}
+		return 0, nil, false
+	}
+	if err := sc.seek(sc.d.Offsets[u]); err != nil {
+		sc.err = fmt.Errorf("scan: shared scan vertex %d: %w", u, err)
 		return 0, nil, false
 	}
 	if d == 0 {
@@ -433,9 +472,21 @@ func (sc *sharedScan) Next() (graph.Vertex, []graph.Vertex, bool) {
 		sc.err = fmt.Errorf("scan: shared scan vertex %d: %w", u, err)
 		return 0, nil, false
 	}
+	sc.pos += uint64(d)
 	list := sc.listBuf[:d]
 	decodeEntries(list, raw)
 	return u, list, true
+}
+
+// seek advances a plain-store stream to entry index off, skipping the lists
+// the window left out.
+func (sc *sharedScan) seek(off uint64) error {
+	if off <= sc.pos {
+		return nil
+	}
+	err := sc.skip(int(off-sc.pos) * graph.EntrySize)
+	sc.pos = off
+	return err
 }
 
 func (sc *sharedScan) Err() error { return sc.err }
