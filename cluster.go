@@ -31,8 +31,8 @@ type ClusterOptions struct {
 	// ScanSource selects every node's scan source ("auto", "buffered",
 	// "shared", "mem"); see Options.ScanSource.
 	ScanSource string
-	// Kernel selects every node's intersection kernel ("merge", "gallop",
-	// "adaptive"); see Options.Kernel.
+	// Kernel selects every node's intersection kernel ("mark", "merge",
+	// "gallop", ...); see Options.Kernel.
 	Kernel string
 	// Sched selects the chunk scheduler: "static" (or empty — the paper's
 	// up-front pre-split of the global plan across nodes) or "stealing"

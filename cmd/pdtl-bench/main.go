@@ -51,7 +51,7 @@ func main() {
 	scanSource := flag.String("scan", "",
 		"override the scan source for every experiment: auto, buffered, shared, or mem")
 	kernel := flag.String("kernel", "",
-		"override the intersection kernel for every experiment: merge, gallop, adaptive, compressed, or cover")
+		"override the intersection kernel for every experiment: mark, merge, gallop, adaptive, compressed, or cover")
 	schedMode := flag.String("sched", "",
 		"override the chunk scheduler for every experiment: static or stealing")
 	chunks := flag.Int("chunks", 0, "chunks per worker for the stealing scheduler (default 8)")

@@ -42,8 +42,8 @@ func main() {
 	naive := flag.Bool("naive-balance", false, "disable in-degree load balancing")
 	scanSource := flag.String("scan", "auto",
 		"per-node scan source: auto (shared when workers > 1), buffered, shared, or mem")
-	kernel := flag.String("kernel", "merge",
-		"intersection kernel: merge, gallop, adaptive, compressed, or cover")
+	kernel := flag.String("kernel", "",
+		"intersection kernel: mark (the default), merge, gallop, adaptive, compressed, or cover")
 	store := flag.String("store", "",
 		"oriented-store encoding built and replicated to workers: plain or compressed (default plain; already-oriented input is replicated as-is)")
 	schedMode := flag.String("sched", "static",
@@ -88,7 +88,7 @@ func main() {
 	}
 	defer g.Close()
 	res, err := g.CountDistributed(ctx, addrs, pdtl.ClusterOptions{
-		Log: logger,
+		Log:               logger,
 		Workers:           *workers,
 		MemEdges:          *mem,
 		NaiveBalance:      *naive,

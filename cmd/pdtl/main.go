@@ -80,8 +80,8 @@ func commonFlags(fs *flag.FlagSet) (graphBase *string, opt *pdtl.Options) {
 	fs.BoolVar(&opt.NaiveBalance, "naive-balance", false, "disable in-degree load balancing")
 	fs.StringVar(&opt.ScanSource, "scan", "auto",
 		"scan source: auto (shared when workers > 1), buffered, shared, or mem")
-	fs.StringVar(&opt.Kernel, "kernel", "merge",
-		"intersection kernel: merge, gallop, adaptive, compressed (block-skipping), or cover")
+	fs.StringVar(&opt.Kernel, "kernel", "",
+		"intersection kernel: mark (the default), merge, gallop, adaptive, compressed (block-skipping), or cover")
 	fs.StringVar(&opt.Sched, "sched", "static",
 		"chunk scheduler: static (one range per worker, the paper's) or stealing (dynamic chunk queue)")
 	fs.IntVar(&opt.Chunks, "chunks", 0,

@@ -119,8 +119,9 @@ type CountArgs struct {
 	// "mem"); empty means auto. Strings rather than enum ints travel on
 	// the wire so heterogeneous builds stay compatible.
 	Scan string
-	// Kernel names the intersection kernel ("merge", "gallop", "adaptive",
-	// "compressed", "cover"); empty means merge. Counting requests (List
+	// Kernel names the intersection kernel ("mark", "merge", "gallop",
+	// "adaptive", "compressed", "cover"); empty means the default that
+	// scan.ParseKernel names. Counting requests (List
 	// false) run the kernel's count-only path on the node; the per-worker
 	// stats in the reply then carry WordOps/FastDecodes.
 	Kernel string

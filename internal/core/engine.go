@@ -60,9 +60,9 @@ type Options struct {
 	// of passes instead of P — and scan.SourceBuffered (the paper's
 	// per-runner scans) for a single runner.
 	Scan scan.SourceKind
-	// Kernel selects the sorted-array intersection kernel; the default is
-	// scan.KernelMerge, the paper's. All kernels produce identical
-	// triangles.
+	// Kernel selects the sorted-array intersection kernel; empty is the
+	// default scan.ParseKernel names (scan.KernelMark). scan.KernelMerge
+	// is the paper's. All kernels produce identical triangles.
 	Kernel scan.KernelKind
 	// Sched selects the chunk scheduler: sched.Static (the paper's one-shot
 	// range→runner binding, the default) or sched.Stealing (the plan is cut
@@ -169,6 +169,9 @@ type Result struct {
 	// ChunkStats holds the per-chunk outcomes of a stealing run (nil under
 	// the static scheduler). Plan.Ranges and ChunkStats are index-aligned.
 	ChunkStats []ChunkStat
+	// MutGen is, for a count over a live graph's view, the number of
+	// mutation batches that view reflects; zero for immutable stores.
+	MutGen uint64
 }
 
 // TotalStats sums the runner statistics (Wall is the straggler max) plus

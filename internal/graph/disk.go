@@ -53,6 +53,19 @@ func DegPath(base string) string { return base + ".deg" }
 // base.
 func AdjPath(base string) string { return base + ".adj" }
 
+// StoreFiles lists the files of a store rooted at base in the given
+// format, the metadata file last: a store whose metadata exists is
+// complete, so a store renamed into place file by file goes in this order.
+func StoreFiles(base string, format Format) []string {
+	files := []string{DegPath(base)}
+	if format == FormatCompressed {
+		files = append(files, CAdjPath(base), CIdxPath(base))
+	} else {
+		files = append(files, AdjPath(base))
+	}
+	return append(files, MetaPath(base))
+}
+
 // MetaPath returns the path of the metadata file for the store rooted at
 // base.
 func MetaPath(base string) string { return metaPath(base) }

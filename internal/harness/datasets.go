@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"pdtl/internal/gen"
@@ -176,8 +177,12 @@ func (h *Harness) Store(key string) (string, error) {
 }
 
 // Oriented returns the oriented store for a dataset key in the harness's
-// configured StoreFormat, orienting once per (dataset, format) with the
-// given parallelism and caching the result.
+// configured StoreFormat. Orientation is deterministic, so the cache
+// directory holds one oriented store per (dataset, format), named
+// <dataset>.oriented.<format>: the first harness to need it orients with
+// the given parallelism, and every later one — in this process or another
+// sharing the directory — reuses it. A reused store's Result is read back
+// from its files; its Duration is zero, since no orientation ran.
 func (h *Harness) Oriented(key string, workers int) (string, *orient.Result, error) {
 	base, err := h.Store(key)
 	if err != nil {
@@ -195,20 +200,59 @@ func (h *Harness) Oriented(key string, workers int) (string, *orient.Result, err
 	}
 	h.mu.Unlock()
 
-	// Process-unique name: a persistent cache dir may be shared by
-	// concurrent harness processes, and orientation rewrites its output
-	// files — a shared name would let one process truncate a store
-	// another is reading. The format lands in the name too, so both
-	// encodings of a dataset can coexist in one cache directory.
-	dst := fmt.Sprintf("%s.oriented.%s.%d", base, format, os.Getpid())
-	res, err := orient.OrientFormat(base, dst, workers, format)
+	dst := fmt.Sprintf("%s.oriented.%s", base, format)
+	res, err := storedOrientation(dst, format)
 	if err != nil {
-		return "", nil, err
+		if res, err = orientInto(base, dst, workers, format); err != nil {
+			return "", nil, err
+		}
 	}
 	h.mu.Lock()
 	h.oriented[cacheKey] = orientEntry{base: dst, res: res}
 	h.mu.Unlock()
 	return dst, res, nil
+}
+
+// storedOrientation reads back the Result of an earlier orientation into
+// dst, or fails when dst is not a complete oriented store in format.
+func storedOrientation(dst string, format graph.Format) (*orient.Result, error) {
+	d, err := graph.Open(dst)
+	if err != nil {
+		return nil, err
+	}
+	if !d.Meta.Oriented || d.Format() != format {
+		return nil, fmt.Errorf("harness: %s is not an oriented %s store", dst, format)
+	}
+	in, err := orient.LoadInDegrees(dst, d.NumVertices())
+	if err != nil {
+		return nil, err
+	}
+	return &orient.Result{Base: dst, MaxOutDegree: d.Meta.MaxOutDegree, OutDegrees: d.Degrees, InDegrees: in}, nil
+}
+
+// orientInto orients base into dst through a temporary store that is
+// renamed into place file by file, the metadata last, so a reader never
+// opens a partial store. Builders racing on one dst rename identical
+// files: orientation is deterministic. A failed build removes its
+// temporary files.
+func orientInto(base, dst string, workers int, format graph.Format) (*orient.Result, error) {
+	tmp := fmt.Sprintf("%s.tmp%d.%d", dst, os.Getpid(), scratchSeq.Add(1))
+	files := append([]string{orient.InDegPath(tmp)}, graph.StoreFiles(tmp, format)...)
+	res, err := orient.OrientFormat(base, tmp, workers, format)
+	for _, f := range files {
+		if err != nil {
+			break
+		}
+		err = os.Rename(f, dst+strings.TrimPrefix(f, tmp))
+	}
+	if err != nil {
+		for _, f := range files {
+			os.Remove(f)
+		}
+		return nil, fmt.Errorf("harness: orient %s: %w", base, err)
+	}
+	res.Base = dst
+	return res, nil
 }
 
 // LoadCSR loads a dataset fully into memory (for the in-memory

@@ -2,12 +2,16 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pdtl/internal/balance"
 	"pdtl/internal/graph"
+	"pdtl/internal/orient"
 )
 
 func newHarness(t *testing.T) *Harness {
@@ -117,6 +121,82 @@ func TestStoreCachingAndOrientation(t *testing.T) {
 	}
 	if res1.MaxOutDegree == 0 {
 		t.Error("orientation result empty")
+	}
+}
+
+// TestOrientedStoreSharedAcrossHarnesses runs two harnesses on one cache
+// directory, orienting the same dataset at the same time in both formats.
+// They must end with one oriented store per format, reused by a third
+// harness, and no temporary files.
+func TestOrientedStoreSharedAcrossHarnesses(t *testing.T) {
+	dir := t.TempDir()
+	harnesses := make([]*Harness, 3)
+	for i := range harnesses {
+		h, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		harnesses[i] = h
+	}
+	if _, err := harnesses[0].Store("tiny"); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
+		bases := make([]string, 2)
+		results := make([]uint32, 2)
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for i, h := range harnesses[:2] {
+			h.StoreFormat = format
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var res *orient.Result
+				bases[i], res, errs[i] = h.Oriented("tiny", 2)
+				if errs[i] == nil {
+					results[i] = res.MaxOutDegree
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := harnesses[2]
+		h.StoreFormat = format
+		base, res, err := h.Oriented("tiny", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bases[0] != base || bases[1] != base {
+			t.Fatalf("%s: oriented stores %v and %s, want one", format, bases, base)
+		}
+		if res.Duration != 0 || res.MaxOutDegree != results[0] || res.MaxOutDegree != results[1] {
+			t.Fatalf("%s: reused orientation = %+v, want d*max %d and no orientation time", format, res, results[0])
+		}
+		if len(res.OutDegrees) != len(res.InDegrees) || len(res.OutDegrees) == 0 {
+			t.Fatalf("%s: reused orientation has %d out- and %d in-degrees", format, len(res.OutDegrees), len(res.InDegrees))
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oriented []string
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".oriented") {
+			oriented = append(oriented, e.Name())
+		}
+	}
+	want := []string{
+		"tiny.oriented.compressed.cadj", "tiny.oriented.compressed.cidx", "tiny.oriented.compressed.deg",
+		"tiny.oriented.compressed.indeg", "tiny.oriented.compressed.meta",
+		"tiny.oriented.plain.adj", "tiny.oriented.plain.deg", "tiny.oriented.plain.indeg", "tiny.oriented.plain.meta",
+	}
+	if !slices.Equal(oriented, want) {
+		t.Fatalf("cache holds %v, want exactly %v", oriented, want)
 	}
 }
 

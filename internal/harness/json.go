@@ -48,13 +48,13 @@ const BenchSchema = "pdtl-bench/6"
 // counterpart of the human tables, with the per-run wall/CPU/IO split and
 // the worker-imbalance straggler factor the load-balance ablation tracks.
 type BenchRun struct {
-	Dataset   string `json:"dataset"`
-	Workers   int    `json:"workers"`
-	MemEdges  int    `json:"mem_edges"`
-	Sched     string `json:"sched"`
-	Chunks    int    `json:"chunks,omitempty"`
-	Scan      string `json:"scan"`
-	Kernel    string `json:"kernel"`
+	Dataset  string `json:"dataset"`
+	Workers  int    `json:"workers"`
+	MemEdges int    `json:"mem_edges"`
+	Sched    string `json:"sched"`
+	Chunks   int    `json:"chunks,omitempty"`
+	Scan     string `json:"scan"`
+	Kernel   string `json:"kernel"`
 	// Mode is "count" (no sinks attached — the closure-free count-only
 	// kernel path) or "listing" (per-slot sinks attached); the /5 row pair
 	// isolates the cost of triangle materialization. Counts are identical
@@ -392,10 +392,12 @@ func hostname() string {
 	return h
 }
 
-// kernelName resolves the kernel default for reporting ("" runs merge).
+// kernelName resolves the kernel default for reporting. Rows are built
+// after their run succeeded, so k has already parsed.
 func kernelName(k scan.KernelKind) string {
-	if k == "" {
-		return string(scan.KernelMerge)
+	kind, err := scan.ParseKernel(string(k))
+	if err != nil {
+		return string(k)
 	}
-	return string(k)
+	return string(kind)
 }

@@ -43,10 +43,10 @@ func (g *Graph) runCompaction(ctx context.Context, base *baseSnap, frozen *delta
 		// Fold the frozen layer back under whatever active mutations
 		// arrived during the attempt; the delta keeps growing but nothing
 		// is lost, and the next compaction retries everything.
-		g.cur = &view{base: old.base, frozen: nil, active: compose(frozen, old.active)}
+		g.cur = &view{base: old.base, frozen: nil, active: compose(frozen, old.active), batches: old.batches}
 		g.lastCompactErr = err
 	} else {
-		g.cur = &view{base: snap, frozen: nil, active: old.active}
+		g.cur = &view{base: snap, frozen: nil, active: old.active, batches: old.batches}
 		g.compactions++
 		if old.base.owned {
 			// Nothing can read the retired snapshot after the swap: queries
@@ -88,16 +88,16 @@ func (g *Graph) buildSnapshot(ctx context.Context, base *baseSnap, frozen *delta
 	// place.
 	building := snapBase + ".building"
 	cleanup := func() {
-		removeFiles(storeFiles(building, g.cfg.StoreFormat))
-		removeFiles(storeFiles(snapBase, g.cfg.StoreFormat))
-		removeFiles(storeFiles(snapBase+".oriented", g.cfg.StoreFormat))
+		removeFiles(graph.StoreFiles(building, g.cfg.StoreFormat))
+		removeFiles(graph.StoreFiles(snapBase, g.cfg.StoreFormat))
+		removeFiles(graph.StoreFiles(snapBase+".oriented", g.cfg.StoreFormat))
 		os.Remove(orient.InDegPath(snapBase + ".oriented"))
 	}
 	if err := extsort.BuildStoreFormat(ctx, edgeFile, building, g.cfg.Name, g.cfg.MemEdges, g.cfg.StoreFormat, nil); err != nil {
 		cleanup()
 		return nil, fmt.Errorf("live: compaction build: %w", err)
 	}
-	for _, f := range storeFiles(building, g.cfg.StoreFormat) {
+	for _, f := range graph.StoreFiles(building, g.cfg.StoreFormat) {
 		dst := snapBase + f[len(building):]
 		if err := os.Rename(f, dst); err != nil {
 			cleanup()
@@ -118,7 +118,7 @@ func (g *Graph) buildSnapshot(ctx context.Context, base *baseSnap, frozen *delta
 		cleanup()
 		return nil, err
 	}
-	files := append(storeFiles(snapBase, g.cfg.StoreFormat), storeFiles(orientedBase, g.cfg.StoreFormat)...)
+	files := append(graph.StoreFiles(snapBase, g.cfg.StoreFormat), graph.StoreFiles(orientedBase, g.cfg.StoreFormat)...)
 	files = append(files, orient.InDegPath(orientedBase))
 	snap, err := newBaseSnap(d, orientedBase, gen, true, files)
 	if err != nil {
@@ -126,16 +126,6 @@ func (g *Graph) buildSnapshot(ctx context.Context, base *baseSnap, frozen *delta
 		return nil, err
 	}
 	return snap, nil
-}
-
-// storeFiles lists the files of a store rooted at base in the given
-// format.
-func storeFiles(base string, format graph.Format) []string {
-	files := []string{graph.MetaPath(base), graph.DegPath(base)}
-	if format == graph.FormatCompressed {
-		return append(files, graph.CAdjPath(base), graph.CIdxPath(base))
-	}
-	return append(files, graph.AdjPath(base))
 }
 
 func removeFiles(files []string) {

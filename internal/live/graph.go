@@ -207,11 +207,11 @@ func (g *Graph) ApplyBatch(updates []Update) error {
 		}
 	}
 	wasEmpty := cur.active.edges() == 0
-	g.cur = &view{base: cur.base, frozen: cur.frozen, active: b.build()}
+	g.batches++
+	g.cur = &view{base: cur.base, frozen: cur.frozen, active: b.build(), batches: g.batches}
 	if wasEmpty && g.cur.active.edges() > 0 {
 		g.activeSince = time.Now()
 	}
-	g.batches++
 	g.edgesApplied += uint64(len(updates))
 	// The estimator consumes the raw update stream (validated above, so
 	// every insert is new and every delete was live).
@@ -246,7 +246,7 @@ func (g *Graph) maybeCompactLocked() {
 // the active layer non-empty.
 func (g *Graph) startCompactionLocked() {
 	frozen := compose(g.cur.frozen, g.cur.active)
-	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta}
+	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta, batches: g.cur.batches}
 	g.activeSince = time.Time{}
 	g.compacting = true
 	base := g.cur.base
@@ -282,7 +282,7 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 	cur := obs.CursorFrom(ctx)
 	fsp := cur.Begin(obs.SpanFreeze)
 	frozen := compose(g.cur.frozen, g.cur.active)
-	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta}
+	g.cur = &view{base: g.cur.base, frozen: frozen, active: emptyDelta, batches: g.cur.batches}
 	g.activeSince = time.Time{}
 	g.compacting = true
 	base := g.cur.base
@@ -301,7 +301,8 @@ func (g *Graph) CompactNow(ctx context.Context) error {
 
 // Count runs the exact PDTL engine over the current live view and returns
 // the run result. The view is captured once; mutations and compactions
-// that land mid-run do not affect it. Options are honored except for the
+// that land mid-run do not affect it. Result.MutGen is the number of
+// batches that view reflects. Options are honored except for the
 // scan source (the overlay serves everything from memory) and the Cost
 // balancing strategy (its calibration scan needs a physical store; the
 // live path falls back to InDegree).
@@ -321,7 +322,7 @@ func (g *Graph) Count(ctx context.Context, opt core.Options) (*core.Result, erro
 		strategy = balance.InDegree
 	}
 	in := balance.Inputs{Offsets: m.disk.Offsets, OutDeg: m.disk.Degrees, InDeg: m.inDeg}
-	res := &core.Result{OrientedBase: m.disk.Base, Sched: opt.Sched}
+	res := &core.Result{OrientedBase: m.disk.Base, Sched: opt.Sched, MutGen: v.batches}
 	var plan balance.Plan
 	if opt.Sched == sched.Stealing {
 		perWorker := opt.Chunks

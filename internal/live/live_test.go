@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,23 +164,37 @@ func TestLiveChurnCrosscheck(t *testing.T) {
 			if st := lg.Stats(); st.Batches != 12 {
 				t.Fatalf("batches = %d", st.Batches)
 			}
-			// Count-only kernel sweep over the final live view (the delta
-			// overlay is non-empty again after the post-compaction rounds):
-			// every kernel's closure-free count path must agree with the
-			// baseline and with a listing run of the same kernel.
+			// Kernel sweep over the final live view (the delta overlay is
+			// non-empty again after the post-compaction rounds): every
+			// kernel's closure-free count path must agree with the baseline,
+			// and its listing run must reproduce the first kernel's (the
+			// paper's merge) per-sink listings in order.
 			want := baseline.Forward(ref.csr(t))
+			var refLists [][][3]graph.Vertex
 			for _, kern := range scan.KernelKinds() {
 				got := countLive(t, lg, core.Options{Workers: 2, Kernel: kern})
 				if got != want {
 					t.Fatalf("count-only kernel %s on live view = %d, want %d", kern, got, want)
 				}
 				sinks := make([]mgt.Sink, 2)
+				lists := make([][][3]graph.Vertex, len(sinks))
 				for i := range sinks {
-					sinks[i] = &mgt.CountSink{}
+					sinks[i] = mgt.FuncSink(func(u, v, w graph.Vertex) {
+						lists[i] = append(lists[i], [3]graph.Vertex{u, v, w})
+					})
 				}
 				listed := countLive(t, lg, core.Options{Workers: 2, Kernel: kern, Sinks: sinks})
 				if listed != want {
 					t.Fatalf("listing kernel %s on live view = %d, want %d", kern, listed, want)
+				}
+				if refLists == nil {
+					refLists = lists
+					continue
+				}
+				for i := range lists {
+					if !slices.Equal(lists[i], refLists[i]) {
+						t.Fatalf("listing kernel %s on live view: sink %d listing differs from %s's", kern, i, scan.KernelKinds()[0])
+					}
 				}
 			}
 			// The overlay serves decoded merged lists (it is not a

@@ -112,6 +112,9 @@ type view struct {
 	base   *baseSnap
 	frozen *delta // nil unless a compaction is in flight
 	active *delta
+	// batches is how many mutation batches the graph had applied when the
+	// view was published: the mutation generation the view answers for.
+	batches uint64
 
 	// merged is the lazily built overlay (synthetic disk + oriented delta
 	// lists); built at most once per view, by the first query.

@@ -16,6 +16,19 @@
 //	      sequential scan of the whole adjacency file;
 //	nmp — N+(u) = N(u) ∩ V+mem, computed by probing ind.
 //
+// The default kernel, scan.KernelMark, changes how N(u) meets the lists Ev,
+// v ∈ nmp, not what they are. Instead of one two-pointer merge per v, which
+// walks N(u) again for every v, the runner sets one bit per entry of N(u)
+// in a direct-address bitset over vertex IDs, walks each Ev keeping the
+// entries whose bit is set, and clears the words it set. This is not the
+// paper's hash set: no list is ever stored in the bitset, every list stays
+// a sorted array, and a bit lives only while its cone vertex is processed.
+// Probing is one load and shift per entry, with no hashing and no
+// data-dependent branch when counting. The bitset has one bit per vertex of
+// the store the runner scans, n/8 bytes per runner, allocated once in
+// NewRunner. The segmented large-vertex path and the compressed block-kernel
+// pass do not use it; scan.KernelMerge runs the paper's merge throughout.
+//
 // A runner is additionally restricted to a contiguous *global* edge range
 // [Lo, Hi): its pivot responsibility in PDTL (Section IV-B). Every triangle
 // is reported exactly once across runners, by the runner (and pass) whose
@@ -81,9 +94,9 @@ type Config struct {
 	// configuration, and bitwise-identical to the pre-refactor behavior.
 	Source scan.Handle
 	// Kernel is the sorted-array intersection used on the hot path. Nil
-	// selects scan.Merge (Section IV-A's two-pointer merge). All kernels
-	// produce identical triangles in identical order; they differ only in
-	// comparison count on skewed operand lengths.
+	// selects the default, scan.NewKernel(""); scan.Merge is Section
+	// IV-A's two-pointer merge. All kernels produce identical triangles in
+	// identical order; they differ only in the work per intersection.
 	Kernel scan.Kernel
 }
 
@@ -103,7 +116,9 @@ type Stats struct {
 	// CmpOps counts merge steps inside the intersections — a
 	// machine-independent proxy for the CPU work of Theorem IV.2's
 	// O(|E|²/M + α|E|) term, used by the harness to report scaling
-	// independently of the host's core count.
+	// independently of the host's core count. Under the mark kernel a
+	// cone vertex costs one step per entry of N(u) marked and one per
+	// entry of each Ev probed; clearing the marks is not counted.
 	CmpOps uint64
 	// LargeVertices counts cone vertices whose out-list exceeded M and
 	// went through the segmented large-vertex path (the removal of the
@@ -220,7 +235,10 @@ type Runner struct {
 	// counters and reports the per-call delta in Stats.
 	arena     *scan.Arena
 	countOnly bool // current RunRange has no sink and a count kernel
-	counter   *ioacct.Counter
+	// marks is the mark kernel's bitset over the store's vertex IDs (nil
+	// under every other kernel). It is all zero between cone vertices.
+	marks   []uint64
+	counter *ioacct.Counter
 	// ownedSrc is the private buffered source Run-style callers get when
 	// cfg.Source is nil; Close tears it (and its handle) down.
 	ownedSrc scan.Source
@@ -293,7 +311,15 @@ func NewRunner(d *graph.Disk, cfg Config) (*Runner, error) {
 		r.handle = h
 	}
 	if r.kernel == nil {
-		r.kernel = scan.Merge
+		k, err := scan.NewKernel("")
+		if err != nil {
+			r.Close()
+			return nil, err
+		}
+		r.kernel = k
+	}
+	if r.kernel.Kind() == scan.KernelMark {
+		r.marks = make([]uint64, (d.NumVertices()+63)/64)
 	}
 	if bk, ok := r.kernel.(scan.BlockKernel); ok && d.Format() == graph.FormatCompressed {
 		r.bkernel = bk
@@ -467,7 +493,8 @@ func (r *Runner) loadWindow(pos, end uint64) error {
 // build, so such a range never asks for it. Cone vertices whose out-list
 // exceeds M take the segmented large-vertex path. When the kernel can
 // intersect compressed lists and the scan can deliver them, the pass runs
-// directly on the compressed form instead.
+// directly on the compressed form instead. Under the mark kernel every
+// other cone vertex with a non-empty N+(u) goes through markProbe.
 func (r *Runner) scanPass() error {
 	d := r.disk
 	lo, hi := graph.Vertex(0), graph.Vertex(math.MaxUint32)
@@ -518,6 +545,12 @@ func (r *Runner) scanPass() error {
 				nmp = append(nmp, v)
 			}
 		}
+		if r.marks != nil {
+			if len(nmp) > 0 {
+				r.markProbe(u, nm, nmp)
+			}
+			continue
+		}
 		for _, v := range nmp {
 			e := r.ind[v-r.vlow]
 			ev := r.edg[e.off : e.off+e.len]
@@ -537,6 +570,41 @@ func (r *Runner) scanPass() error {
 		}
 	}
 	return sc.Err()
+}
+
+// markProbe is the mark kernel's step for one cone vertex u with
+// N(u) = nm and N+(u) = nmp (non-empty): mark every entry of nm, walk each
+// Ev, v ∈ nmp, in ascending order keeping the marked entries — each closes
+// triangle (u, v, w), emitted in the order a merge of nm with Ev emits it —
+// and clear the words the marks set. One body serves counting and listing:
+// without a sink the hit is added, not branched on.
+//
+//pdtl:hotpath
+func (r *Runner) markProbe(u graph.Vertex, nm, nmp []graph.Vertex) {
+	marks := r.marks
+	for _, w := range nm {
+		marks[w>>6] |= 1 << (w & 63)
+	}
+	sink := r.sink
+	var found, probes uint64
+	for _, v := range nmp {
+		e := r.ind[v-r.vlow]
+		ev := r.edg[e.off : e.off+e.len]
+		probes += uint64(len(ev))
+		for _, w := range ev {
+			hit := marks[w>>6] >> (w & 63) & 1
+			found += hit
+			if sink != nil && hit != 0 {
+				sink.Triangle(u, v, w)
+			}
+		}
+	}
+	for _, w := range nm {
+		marks[w>>6] = 0
+	}
+	r.stats.Triangles += found
+	r.stats.Intersections += uint64(len(nmp))
+	r.stats.CmpOps += uint64(len(nm)) + probes
 }
 
 // scanPassCompressed is scanPass running directly on the encoded adjacency

@@ -32,7 +32,7 @@ func TestCountKernelsAgreeWithIntersect(t *testing.T) {
 		}
 		a := sortedSet(rng, la, universe)
 		b := sortedSet(rng, lb, universe)
-		for _, k := range []Kernel{Merge, Gallop, Adaptive, Compressed, Cover} {
+		for _, k := range []Kernel{Merge, Gallop, Adaptive, Compressed, Cover, Mark} {
 			var emitted uint64
 			wantSteps := k.Intersect(a, b, func(graph.Vertex) { emitted++ })
 			count, steps := k.(CountKernel).Count(a, b)
@@ -240,7 +240,7 @@ func TestCountCompressedZeroAlloc(t *testing.T) {
 		t.Errorf("CountCompressed allocates %v objects per call, want 0", allocs)
 	}
 	// The plain count kernels are trivially allocation-free too.
-	for _, k := range []Kernel{Merge, Gallop, Adaptive, Compressed, Cover} {
+	for _, k := range []Kernel{Merge, Gallop, Adaptive, Compressed, Cover, Mark} {
 		ck := k.(CountKernel)
 		allocs := testing.AllocsPerRun(100, func() { ck.Count(a, b) })
 		if allocs != 0 {

@@ -37,24 +37,34 @@ const (
 	// with PDTL's pivot-edge windows and byte-deterministic listings — so
 	// only its range-cover filter is adopted.
 	KernelCover KernelKind = "cover"
+	// KernelMark is the cone-level mark-and-probe kernel, the default. A
+	// runner that uses it marks N(u) once per cone vertex u in a bitset
+	// over vertex IDs and probes every in-window list Ev against the marks,
+	// instead of merging N(u) with each Ev in turn (after the lookup
+	// structure of Tom & Karypis, arXiv:1907.09575; see internal/mgt). The
+	// lists stay sorted arrays and matches come out in the same order as
+	// the merge's. Callers without a cone use its pairwise Intersect and
+	// Count, which are the merge's.
+	KernelMark KernelKind = "mark"
 )
 
 // ParseKernel validates a kernel name from a flag or wire message. The
-// empty string means KernelMerge, the paper-faithful default.
+// empty string means KernelMark, the default; it is resolved here and
+// nowhere else.
 func ParseKernel(s string) (KernelKind, error) {
 	switch KernelKind(s) {
 	case "":
-		return KernelMerge, nil
-	case KernelMerge, KernelGallop, KernelAdaptive, KernelCompressed, KernelCover:
+		return KernelMark, nil
+	case KernelMerge, KernelGallop, KernelAdaptive, KernelCompressed, KernelCover, KernelMark:
 		return KernelKind(s), nil
 	}
-	return "", fmt.Errorf("scan: unknown intersect kernel %q (want merge, gallop, adaptive, compressed, or cover)", s)
+	return "", fmt.Errorf("scan: unknown intersect kernel %q (want merge, gallop, adaptive, compressed, cover, or mark)", s)
 }
 
 // KernelKinds lists every kernel, in the order tests and benchmarks sweep
-// them.
+// them. The paper's merge comes first: sweeps take it as the reference.
 func KernelKinds() []KernelKind {
-	return []KernelKind{KernelMerge, KernelGallop, KernelAdaptive, KernelCompressed, KernelCover}
+	return []KernelKind{KernelMerge, KernelGallop, KernelAdaptive, KernelCompressed, KernelCover, KernelMark}
 }
 
 // Kernel intersects two sorted duplicate-free vertex lists. Every kernel
@@ -109,12 +119,19 @@ var (
 	Compressed Kernel = compressedKernel{}
 	// Cover is the range-cover pre-filter kernel.
 	Cover Kernel = coverKernel{}
+	// Mark is the cone-level mark-and-probe kernel; pairwise, it merges.
+	Mark Kernel = markKernel{}
 )
 
-// NewKernel returns the kernel implementation for kind.
+// NewKernel returns the kernel implementation for kind; the empty kind is
+// the default ParseKernel names.
 func NewKernel(kind KernelKind) (Kernel, error) {
+	kind, err := ParseKernel(string(kind))
+	if err != nil {
+		return nil, err
+	}
 	switch kind {
-	case KernelMerge, "":
+	case KernelMerge:
 		return Merge, nil
 	case KernelGallop:
 		return Gallop, nil
@@ -124,9 +141,19 @@ func NewKernel(kind KernelKind) (Kernel, error) {
 		return Compressed, nil
 	case KernelCover:
 		return Cover, nil
+	case KernelMark:
+		return Mark, nil
 	}
 	return nil, fmt.Errorf("scan: unknown kernel kind %q", kind)
 }
+
+// markKernel is the mark-and-probe kernel's pairwise form. Its cone-level
+// form needs the marks of N(u), which only a runner holds (mgt.Runner
+// keys on Kind); a lone pair has no cone to amortize the marking over, so
+// Intersect and Count are the merge's, steps included.
+type markKernel struct{ mergeKernel }
+
+func (markKernel) Kind() KernelKind { return KernelMark }
 
 // mergeKernel is the classic two-pointer merge; steps counts loop
 // iterations, exactly as the previously hardwired loop in internal/mgt

@@ -55,7 +55,7 @@ func TestKernelsAgreeWithMerge(t *testing.T) {
 		a := sortedSet(rng, la, universe)
 		b := sortedSet(rng, lb, universe)
 		want := collect(Merge, a, b)
-		for _, k := range []Kernel{Gallop, Adaptive, Compressed, Cover} {
+		for _, k := range []Kernel{Gallop, Adaptive, Compressed, Cover, Mark} {
 			got := collect(k, a, b)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: %s found %d common, merge found %d (a=%v b=%v)",
@@ -149,7 +149,7 @@ func TestGallopCheaperOnSkew(t *testing.T) {
 
 func TestKernelEmptyOperands(t *testing.T) {
 	a := []graph.Vertex{1, 2, 3}
-	for _, k := range []Kernel{Merge, Gallop, Adaptive, Compressed, Cover} {
+	for _, k := range []Kernel{Merge, Gallop, Adaptive, Compressed, Cover, Mark} {
 		if got := collect(k, nil, a); got != nil {
 			t.Errorf("%s on empty a emitted %v", k.Kind(), got)
 		}

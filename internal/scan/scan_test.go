@@ -332,7 +332,8 @@ func TestParseSource(t *testing.T) {
 
 func TestParseKernel(t *testing.T) {
 	for in, want := range map[string]KernelKind{
-		"": KernelMerge, "merge": KernelMerge, "gallop": KernelGallop, "adaptive": KernelAdaptive,
+		"": KernelMark, "merge": KernelMerge, "gallop": KernelGallop, "adaptive": KernelAdaptive,
+		"compressed": KernelCompressed, "cover": KernelCover, "mark": KernelMark,
 	} {
 		got, err := ParseKernel(in)
 		if err != nil || got != want {

@@ -3,6 +3,8 @@ package service
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -211,5 +213,122 @@ func TestEntryInvalidateDropsInFlightResult(t *testing.T) {
 	}
 	if n := e.CachedResults(); n != 1 {
 		t.Fatalf("fresh result not memoized (%d cached)", n)
+	}
+}
+
+// pauseLog is a slog.Handler that parks the next goroutine logging an armed
+// message until the test releases it: a hook into the service's run
+// lifecycle ("run started" is logged before a live count pins its view,
+// "run finished" after the count returns and before the reply is built).
+type pauseLog struct {
+	mu      sync.Mutex
+	msg     string
+	reached chan struct{}
+	release chan struct{}
+}
+
+// arm makes the next record with message msg block until release is
+// closed; reached is closed when it arrives.
+func (p *pauseLog) arm(msg string) (reached, release chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.msg = msg
+	p.reached = make(chan struct{})
+	p.release = make(chan struct{})
+	return p.reached, p.release
+}
+
+func (p *pauseLog) Enabled(context.Context, slog.Level) bool { return true }
+
+func (p *pauseLog) Handle(_ context.Context, r slog.Record) error {
+	p.mu.Lock()
+	if p.msg == "" || r.Message != p.msg {
+		p.mu.Unlock()
+		return nil
+	}
+	p.msg = ""
+	reached, release := p.reached, p.release
+	p.mu.Unlock()
+	close(reached)
+	<-release
+	return nil
+}
+
+func (p *pauseLog) WithAttrs([]slog.Attr) slog.Handler { return p }
+func (p *pauseLog) WithGroup(string) slog.Handler      { return p }
+
+// TestServerLiveCountMutGenIsItsView applies a batch while a live count is
+// in flight and checks that the reply's mut_gen names the view the count
+// ran against, whichever side of the pin the batch lands on: after the
+// view is pinned the reply keeps the old generation and its count, before
+// it the reply carries the new generation and the new count.
+func TestServerLiveCountMutGenIsItsView(t *testing.T) {
+	base := genStore(t, 7, 5)
+	pause := &pauseLog{}
+	svc := New(Config{RunSlots: 2, QueueDepth: 8, Log: slog.New(pause)})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/graphs",
+		registerRequest{Name: "lv", Base: base, Live: true}, http.StatusCreated)
+	t0 := getJSON(t, client, ts.URL+"/v1/graphs/lv/count?workers=1", 200)["triangles"].(float64)
+
+	type reply struct {
+		triangles, mutGen float64
+		err               error
+	}
+	// countDuring runs a fresh count (workers=w misses the cache), parks it
+	// at msg, applies batch, then lets the count finish.
+	countDuring := func(w int, msg string, batch mutateRequest) reply {
+		reached, release := pause.arm(msg)
+		done := make(chan reply, 1)
+		go func() {
+			resp, err := client.Get(ts.URL + "/v1/graphs/lv/count?workers=" + strconv.Itoa(w))
+			if err != nil {
+				done <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var m struct {
+				Triangles float64 `json:"triangles"`
+				MutGen    float64 `json:"mut_gen"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&m)
+			done <- reply{m.Triangles, m.MutGen, err}
+		}()
+		<-reached
+		postJSON(t, client, ts.URL+"/v1/graphs/lv/edges", batch, 200)
+		close(release)
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r
+	}
+
+	// Batch 1 lands after the count pinned generation 0: one new triangle
+	// the reply must not contain, and a generation it must not name.
+	r := countDuring(2, "run finished", mutateRequest{
+		Insert: [][2]uint32{{300, 301}, {301, 302}, {300, 302}},
+	})
+	if r.mutGen != 0 || r.triangles != t0 {
+		t.Fatalf("count pinned before batch 1: mut_gen %v with %v triangles, want 0 with %v", r.mutGen, r.triangles, t0)
+	}
+	// Batch 2 lands before the count pins its view: the reply counts it
+	// and names it.
+	r = countDuring(3, "run started", mutateRequest{
+		Insert: [][2]uint32{{303, 304}, {304, 305}, {303, 305}},
+	})
+	if r.mutGen != 2 || r.triangles != t0+2 {
+		t.Fatalf("count pinned after batch 2: mut_gen %v with %v triangles, want 2 with %v", r.mutGen, r.triangles, t0+2)
+	}
+	// A cached reply keeps the generation of the view it was computed on.
+	// (The parked run above started under generation 1, so it was not
+	// memoized; the first request here runs, the second hits the cache.)
+	getJSON(t, client, ts.URL+"/v1/graphs/lv/count?workers=3", 200)
+	c := getJSON(t, client, ts.URL+"/v1/graphs/lv/count?workers=3", 200)
+	if c["origin"] != "cache" || c["mut_gen"].(float64) != 2 || c["triangles"].(float64) != t0+2 {
+		t.Fatalf("cached count = %v", c)
 	}
 }

@@ -86,6 +86,10 @@ type Entry struct {
 	// started under an older generation is never memoized: its result was
 	// computed against a view that no longer answers for the graph.
 	mutGen uint64
+	// mutBase is the live graph's own batch count when it was attached, so
+	// a count's view generation (pdtl.Result.MutGen) minus mutBase is on
+	// the entry's mutGen scale.
+	mutBase uint64
 }
 
 // Name reports the entry's registered name.
@@ -201,6 +205,9 @@ func (r *Registry) attach(name, base string, g *pdtl.Graph, lg *pdtl.LiveGraph) 
 		lastUse: r.clock,
 		cache:   make(map[string]any),
 		flights: make(map[string]*flight),
+	}
+	if lg != nil {
+		e.mutBase = lg.Stats().Batches
 	}
 	var closing []*Entry
 	if old, ok := r.entries[name]; ok {

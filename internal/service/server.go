@@ -513,7 +513,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	if e.Live() != nil {
 		resp.Live = true
-		resp.MutGen = e.MutGen()
+		// The generation of the view the count pinned, not the entry's
+		// generation now: a batch landing mid-run moves the latter.
+		resp.MutGen = res.MutGen - e.mutBase
 	}
 	if origin == OriginRun {
 		resp.Trace = traceJSON(tr)

@@ -150,6 +150,7 @@ func (lg *LiveGraph) Count(ctx context.Context, opt Options) (*Result, error) {
 		OrientedBase: cres.OrientedBase,
 		ScanSource:   string(scan.SourceMem),
 		Sched:        copt.Sched.String(),
+		MutGen:       cres.MutGen,
 	}
 	for _, w := range cres.Workers {
 		res.Workers = append(res.Workers, WorkerStats{

@@ -75,13 +75,15 @@ type Options struct {
 	// "mem" (whole adjacency array in RAM; for graphs that fit). The
 	// triangle output is identical for every choice.
 	ScanSource string
-	// Kernel selects the sorted-array intersection kernel: "merge" (or
-	// empty — the paper's two-pointer merge), "gallop" (exponential +
-	// binary search, for skewed list lengths), "adaptive" (picks per pair
-	// by length ratio), "compressed" (block skipping on 256-entry segment
-	// ranges; on a compressed store it intersects the encoded form
-	// directly), or "cover" (range-cover pre-filter). The triangle output
-	// is identical for every choice. Counting runs (Count,
+	// Kernel selects the sorted-array intersection kernel: "mark" (or
+	// empty — each cone list N(u) is marked once in a bitset over vertex
+	// IDs, n/8 bytes per runner, and every in-window list is probed
+	// against it), "merge" (the paper's two-pointer merge, one per list
+	// pair), "gallop" (exponential + binary search, for skewed list
+	// lengths), "adaptive" (picks per pair by length ratio), "compressed"
+	// (block skipping on 256-entry segment ranges; on a compressed store
+	// it intersects the encoded form directly), or "cover" (range-cover
+	// pre-filter). The triangle output is identical for every choice. Counting runs (Count,
 	// CountDistributed, the service's /count) additionally take each
 	// kernel's closure-free count-only path — with word-parallel bitmap
 	// counting and unrolled varint decoding on compressed stores — which
@@ -127,10 +129,6 @@ func (o Options) Key() (string, error) {
 	if mem <= 0 {
 		mem = core.DefaultMemEdges
 	}
-	kernel := copt.Kernel
-	if kernel == "" {
-		kernel = scan.KernelMerge
-	}
 	chunks := 0
 	if copt.Sched == sched.Stealing {
 		chunks = sched.ChunksFor(workers, copt.Chunks)
@@ -140,7 +138,7 @@ func (o Options) Key() (string, error) {
 		store = graph.FormatPlain
 	}
 	return fmt.Sprintf("w%d m%d %s %s %s %s c%d %s",
-		workers, mem, copt.Strategy, copt.Sched, copt.Scan.Resolve(workers), kernel, chunks, store), nil
+		workers, mem, copt.Strategy, copt.Sched, copt.Scan.Resolve(workers), copt.Kernel, chunks, store), nil
 }
 
 func (o Options) toCore() (core.Options, error) {
@@ -230,6 +228,9 @@ type Result struct {
 	// or the in-memory preload. Zero for "buffered", whose scans are
 	// charged to the per-worker BytesRead instead.
 	SourceBytesRead int64
+	// MutGen is, for LiveGraph.Count, the number of mutation batches
+	// applied to the view the count ran against; zero otherwise.
+	MutGen uint64
 }
 
 // Count counts the triangles of the graph stored at base (see WriteGraph
