@@ -26,14 +26,17 @@ const (
 	Naive Strategy = iota
 	// InDegree splits by the paper's in-degree weights ("w/ LB").
 	InDegree
-	// Cost splits by the exact expected intersection cost — the
-	// "different techniques of load balancing" direction of the paper's
-	// future work (Section VI). Vertex v's weight is
-	// Σ_{u : v ∈ N+(u)} d_G*(u) + indeg(v)·outdeg(v): the merge steps
-	// spent walking each cone list plus those walking Ev itself. The
-	// extra Σ d_G*(u) term needs one additional scan of the oriented
-	// graph (O(scan(|E|)) I/Os, so Theorem IV.3 is unchanged), supplied
-	// via SetConeCost.
+	// Cost splits by the expected intersection cost of the paper's
+	// two-pointer `merge` kernel — the "different techniques of load
+	// balancing" direction of the paper's future work (Section VI).
+	// Vertex v's weight is Σ_{u : v ∈ N+(u)} d_G*(u) + indeg(v)·outdeg(v):
+	// the merge steps spent walking each cone list plus those walking Ev
+	// itself. The extra Σ d_G*(u) term needs one additional scan of the
+	// oriented graph (O(scan(|E|)) I/Os, so Theorem IV.3 is unchanged),
+	// supplied via SetConeCost. The model is merge's whatever kernel runs:
+	// the default `mark` kernel walks N(u) once per cone vertex per pass,
+	// not once per v ∈ N+(u), so under it the cone term over-weights
+	// vertices reached from long cone lists (DESIGN.md §5).
 	Cost
 )
 

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"pdtl/internal/gen"
 	"pdtl/internal/graph"
@@ -182,7 +184,8 @@ func (h *Harness) Store(key string) (string, error) {
 // <dataset>.oriented.<format>: the first harness to need it orients with
 // the given parallelism, and every later one — in this process or another
 // sharing the directory — reuses it. A reused store's Result is read back
-// from its files; its Duration is zero, since no orientation ran.
+// from its files, its Duration from the wall time its builder recorded
+// beside it, so orientation time reads the same whatever the cache held.
 func (h *Harness) Oriented(key string, workers int) (string, *orient.Result, error) {
 	base, err := h.Store(key)
 	if err != nil {
@@ -213,6 +216,10 @@ func (h *Harness) Oriented(key string, workers int) (string, *orient.Result, err
 	return dst, res, nil
 }
 
+// durationPath is the file beside an oriented store in the cache that
+// records how long its orientation took, in decimal nanoseconds.
+func durationPath(base string) string { return base + ".duration" }
+
 // storedOrientation reads back the Result of an earlier orientation into
 // dst, or fails when dst is not a complete oriented store in format.
 func storedOrientation(dst string, format graph.Format) (*orient.Result, error) {
@@ -227,18 +234,35 @@ func storedOrientation(dst string, format graph.Format) (*orient.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &orient.Result{Base: dst, MaxOutDegree: d.Meta.MaxOutDegree, OutDegrees: d.Degrees, InDegrees: in}, nil
+	raw, err := os.ReadFile(durationPath(dst))
+	if err != nil {
+		return nil, err
+	}
+	ns, err := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64)
+	if err != nil || ns <= 0 {
+		return nil, fmt.Errorf("harness: %s holds no orientation time", durationPath(dst))
+	}
+	return &orient.Result{
+		Base:         dst,
+		MaxOutDegree: d.Meta.MaxOutDegree,
+		OutDegrees:   d.Degrees,
+		InDegrees:    in,
+		Duration:     time.Duration(ns),
+	}, nil
 }
 
 // orientInto orients base into dst through a temporary store that is
 // renamed into place file by file, the metadata last, so a reader never
 // opens a partial store. Builders racing on one dst rename identical
-// files: orientation is deterministic. A failed build removes its
-// temporary files.
+// store files (orientation is deterministic) and their own measured
+// durations. A failed build removes its temporary files.
 func orientInto(base, dst string, workers int, format graph.Format) (*orient.Result, error) {
 	tmp := fmt.Sprintf("%s.tmp%d.%d", dst, os.Getpid(), scratchSeq.Add(1))
-	files := append([]string{orient.InDegPath(tmp)}, graph.StoreFiles(tmp, format)...)
+	files := append([]string{durationPath(tmp), orient.InDegPath(tmp)}, graph.StoreFiles(tmp, format)...)
 	res, err := orient.OrientFormat(base, tmp, workers, format)
+	if err == nil {
+		err = os.WriteFile(durationPath(tmp), []byte(strconv.FormatInt(int64(res.Duration), 10)+"\n"), 0o644)
+	}
 	for _, f := range files {
 		if err != nil {
 			break

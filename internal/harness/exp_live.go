@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"pdtl/internal/balance"
@@ -37,9 +38,16 @@ func expChurn(h *Harness, r *Report) error {
 	if err != nil {
 		return err
 	}
+	// Compacted snapshots go to a private directory, removed with the
+	// graph: Close leaves the current snapshot's files on disk.
+	dir, err := os.MkdirTemp(h.cacheDir, key+".churn")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
 	lg, err := live.Open(orientedBase, live.Config{
-		Dir:       h.cacheDir,
-		Name:      fmt.Sprintf("%s.churn%d", key, scratchSeq.Add(1)),
+		Dir:       dir,
+		Name:      key,
 		Workers:   2,
 		MemEdges:  mem,
 		Reservoir: 1 << 19,

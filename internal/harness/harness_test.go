@@ -127,7 +127,8 @@ func TestStoreCachingAndOrientation(t *testing.T) {
 // TestOrientedStoreSharedAcrossHarnesses runs two harnesses on one cache
 // directory, orienting the same dataset at the same time in both formats.
 // They must end with one oriented store per format, reused by a third
-// harness, and no temporary files.
+// harness with one of the builders' orientation times, and no temporary
+// files.
 func TestOrientedStoreSharedAcrossHarnesses(t *testing.T) {
 	dir := t.TempDir()
 	harnesses := make([]*Harness, 3)
@@ -143,7 +144,7 @@ func TestOrientedStoreSharedAcrossHarnesses(t *testing.T) {
 	}
 	for _, format := range []graph.Format{graph.FormatPlain, graph.FormatCompressed} {
 		bases := make([]string, 2)
-		results := make([]uint32, 2)
+		results := make([]*orient.Result, 2)
 		errs := make([]error, 2)
 		var wg sync.WaitGroup
 		for i, h := range harnesses[:2] {
@@ -151,11 +152,7 @@ func TestOrientedStoreSharedAcrossHarnesses(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var res *orient.Result
-				bases[i], res, errs[i] = h.Oriented("tiny", 2)
-				if errs[i] == nil {
-					results[i] = res.MaxOutDegree
-				}
+				bases[i], results[i], errs[i] = h.Oriented("tiny", 2)
 			}()
 		}
 		wg.Wait()
@@ -173,8 +170,11 @@ func TestOrientedStoreSharedAcrossHarnesses(t *testing.T) {
 		if bases[0] != base || bases[1] != base {
 			t.Fatalf("%s: oriented stores %v and %s, want one", format, bases, base)
 		}
-		if res.Duration != 0 || res.MaxOutDegree != results[0] || res.MaxOutDegree != results[1] {
-			t.Fatalf("%s: reused orientation = %+v, want d*max %d and no orientation time", format, res, results[0])
+		if res.MaxOutDegree != results[0].MaxOutDegree || res.MaxOutDegree != results[1].MaxOutDegree {
+			t.Fatalf("%s: reused d*max %d, built %d and %d", format, res.MaxOutDegree, results[0].MaxOutDegree, results[1].MaxOutDegree)
+		}
+		if res.Duration <= 0 || (res.Duration != results[0].Duration && res.Duration != results[1].Duration) {
+			t.Fatalf("%s: reused orientation time %v, built in %v and %v", format, res.Duration, results[0].Duration, results[1].Duration)
 		}
 		if len(res.OutDegrees) != len(res.InDegrees) || len(res.OutDegrees) == 0 {
 			t.Fatalf("%s: reused orientation has %d out- and %d in-degrees", format, len(res.OutDegrees), len(res.InDegrees))
@@ -192,8 +192,9 @@ func TestOrientedStoreSharedAcrossHarnesses(t *testing.T) {
 	}
 	want := []string{
 		"tiny.oriented.compressed.cadj", "tiny.oriented.compressed.cidx", "tiny.oriented.compressed.deg",
-		"tiny.oriented.compressed.indeg", "tiny.oriented.compressed.meta",
-		"tiny.oriented.plain.adj", "tiny.oriented.plain.deg", "tiny.oriented.plain.indeg", "tiny.oriented.plain.meta",
+		"tiny.oriented.compressed.duration", "tiny.oriented.compressed.indeg", "tiny.oriented.compressed.meta",
+		"tiny.oriented.plain.adj", "tiny.oriented.plain.deg", "tiny.oriented.plain.duration",
+		"tiny.oriented.plain.indeg", "tiny.oriented.plain.meta",
 	}
 	if !slices.Equal(oriented, want) {
 		t.Fatalf("cache holds %v, want exactly %v", oriented, want)

@@ -310,17 +310,25 @@ func (h *Harness) BenchChurnJSON(w io.Writer, keys []string, workers, memEdges, 
 		if ometa.NumEdges > 0 {
 			bytesPerEdge = float64(adjBytes) / float64(ometa.NumEdges)
 		}
+		// Compacted snapshots go to a private directory, removed after
+		// Close: Close leaves the current snapshot's files on disk.
+		dir, err := os.MkdirTemp(h.cacheDir, key+".bench")
+		if err != nil {
+			return err
+		}
 		lg, err := live.Open(orientedBase, live.Config{
-			Dir:         h.cacheDir,
-			Name:        fmt.Sprintf("%s.bench%d", key, scratchSeq.Add(1)),
+			Dir:         dir,
+			Name:        key,
 			Workers:     2,
 			MemEdges:    mem,
 			StoreFormat: h.StoreFormat,
 		})
 		if err != nil {
+			os.RemoveAll(dir)
 			return err
 		}
 		err = func() error {
+			defer os.RemoveAll(dir)
 			defer lg.Close()
 			// A seeded burst: deletes where the merged view has the edge,
 			// inserts elsewhere, never touching an edge twice in the batch.

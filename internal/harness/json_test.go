@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"regexp"
 	"runtime"
 	"testing"
 
@@ -142,9 +144,11 @@ func TestBenchJSONSchema(t *testing.T) {
 // TestBenchChurnJSON pins the /4 live rows: the delta-overlay count carries
 // delta_edges > 0 and no compactions, the post-compaction count the
 // reverse, and both agree on the triangle count (compaction folds the delta
-// without changing the graph).
+// without changing the graph). The compacted snapshot is removed with its
+// live graph, so the cache keeps only the dataset's stores.
 func TestBenchChurnJSON(t *testing.T) {
-	h, err := New(t.TempDir())
+	dir := t.TempDir()
+	h, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +186,16 @@ func TestBenchChurnJSON(t *testing.T) {
 	}
 	if liveRun.WallNS <= 0 || compacted.WallNS <= 0 {
 		t.Error("churn rows missing wall timings")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := regexp.MustCompile(`^tiny(\.oriented\.plain)?\.(meta|deg|adj|indeg|duration)$`)
+	for _, e := range entries {
+		if !store.MatchString(e.Name()) {
+			t.Errorf("churn bench left %s in the cache", e.Name())
+		}
 	}
 }
 

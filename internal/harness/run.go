@@ -67,8 +67,9 @@ func (h *Harness) CalcLocal(key string, workers, memEdges int, strategy balance.
 	})
 }
 
-// ClusterRun is a distributed run plus the cached orientation time, which
-// the paper's "total" columns include.
+// ClusterRun is a distributed run plus the orientation time recorded with
+// the cached oriented store (see Oriented), which the paper's "total"
+// columns include.
 type ClusterRun struct {
 	*cluster.Result
 	OrientTime time.Duration
